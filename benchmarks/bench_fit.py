@@ -1,41 +1,37 @@
-"""Model-fit throughput: histogram kernel vs the per-feature reference.
+"""Model-fit throughput: histogram kernel vs the per-feature oracle.
 
 Every collect→refit cycle re-fits hundreds of boosted trees per HM
-component, and the reference split search loops over all 41 features in
-Python per node.  The histogram kernel (:mod:`repro.models.histkernel`)
-builds every feature's count/sum histograms in one flattened
-``np.bincount`` and scores both children of a committed split per batch
-— while growing the byte-identical tree.  This benchmark measures both
-paths at the paper operating point (600 trees, 41 features, HM
-per-order components), asserts the regression floor, verifies that the
-kernel-fit and reference-fit tuning pipelines produce
-``report_fingerprint``-identical reports, and writes the numbers to
-``BENCH_fit.json``.
+component.  The per-feature split search kept as a test oracle
+(``tests/oracles/tree.py``) loops over all 41 features in Python per
+node; the histogram kernel (:mod:`repro.models.histkernel`) builds every
+feature's count/sum histograms in one flattened ``np.bincount`` and
+scores both children of a committed split per batch — while growing the
+byte-identical tree.  This benchmark times both at the paper operating
+point (600 trees, 41 features, HM per-order components) by patching the
+oracle onto :meth:`RegressionTree.fit_binned`, asserts the regression
+floor, verifies that the kernel-fit and oracle-fit tuning pipelines
+produce ``report_fingerprint``-identical reports, and writes the numbers
+to ``BENCH_fit.json``.
 
 The floor is deliberately below the locally-measured speedup (6-8x on
 the raw fit): CI runners are noisy, and the gate exists to catch an
 accidental return to per-feature Python iteration, not 20% wobble.
-When numba is importable the jitted path is measured too and its
-predictions asserted bit-identical; when absent, the guarded fallback
-is what ships and ``numba`` is reported unavailable.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from repro.models.boosting import GradientBoostedTrees
-from repro.models.histkernel import (
-    available_fit_paths,
-    numba_available,
-    use_fit_path,
-)
-from repro.models.tree import BinnedDataset
+from repro.models.tree import BinnedDataset, RegressionTree
 from repro.store.runstore import report_fingerprint
+from tests.oracles import tree as oracle
 
 #: The paper operating point: nt >= 600 trees over the 41 encoded
 #: configuration parameters (+1 datasize column in the full pipeline).
@@ -43,11 +39,18 @@ N_TREES = 600
 N_FEATURES = 41
 N_ROWS = 600
 
-#: CI regression gate for the NumPy kernel over the reference
+#: CI regression gate for the kernel over the oracle
 #: (local speedups are far higher; see module doc).
 SPEEDUP_FLOOR = 3.0
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_fit.json"
+
+
+def _fit_through(path: str):
+    """Context in which every tree fits through ``path``."""
+    if path == "oracle":
+        return mock.patch.object(RegressionTree, "fit_binned", oracle.fit_binned)
+    return nullcontext()
 
 
 def _training_data():
@@ -58,7 +61,7 @@ def _training_data():
 
 
 def _fit_gbt(X, y, path):
-    with use_fit_path(path):
+    with _fit_through(path):
         start = time.perf_counter()
         model = GradientBoostedTrees(
             n_trees=N_TREES, patience=N_TREES, random_state=0
@@ -69,11 +72,11 @@ def _fit_gbt(X, y, path):
 
 
 def _run_tuner(path):
-    """Full collect→fit(HM)→tune pipeline under one fit path."""
+    """Full collect→fit(HM)→tune pipeline with trees fitted through ``path``."""
     from repro.core.tuner import DacTuner
     from repro.workloads import get_workload
 
-    with use_fit_path(path):
+    with _fit_through(path):
         tuner = DacTuner(
             get_workload("TS"), n_train=240, n_trees=N_TREES, seed=7
         )
@@ -97,12 +100,11 @@ def test_fit_speedup_and_fingerprint_parity():
         "n_trees": N_TREES,
         "n_features": N_FEATURES,
         "n_rows": N_ROWS,
-        "numba_available": numba_available(),
         "paths": {},
     }
 
     models = {}
-    for path in available_fit_paths():
+    for path in ("oracle", "kernel"):
         model, seconds = _fit_gbt(X, y, path)
         models[path] = model
         results["paths"][path] = {
@@ -112,23 +114,22 @@ def test_fit_speedup_and_fingerprint_parity():
         }
 
     speedup = (
-        results["paths"]["reference"]["fit_seconds"]
-        / results["paths"]["numpy"]["fit_seconds"]
+        results["paths"]["oracle"]["fit_seconds"]
+        / results["paths"]["kernel"]["fit_seconds"]
     )
-    results["speedup_numpy_vs_reference"] = round(speedup, 2)
+    results["speedup_kernel_vs_oracle"] = round(speedup, 2)
     results["speedup_floor"] = SPEEDUP_FLOOR
 
-    # Same trees, bit for bit, whatever the path.
+    # Same trees, bit for bit.
     probe = np.random.default_rng(1).random((256, N_FEATURES))
-    expected = models["reference"].predict(probe).tobytes()
-    for path, model in models.items():
-        assert model.predict(probe).tobytes() == expected, (
-            f"{path} fit diverged from the reference model"
-        )
+    assert (
+        models["kernel"].predict(probe).tobytes()
+        == models["oracle"].predict(probe).tobytes()
+    ), "kernel fit diverged from the oracle model"
 
     # End-to-end: the tuning report must be fingerprint-identical.
     tune = {}
-    for path in ("reference", "numpy"):
+    for path in ("oracle", "kernel"):
         report, fit_seconds, tune_seconds = _run_tuner(path)
         tune[path] = {
             "model_fit_wall_s": round(fit_seconds, 3),
@@ -136,9 +137,9 @@ def test_fit_speedup_and_fingerprint_parity():
             "fingerprint": report_fingerprint(report),
         }
     results["tune"] = tune
-    assert tune["reference"]["fingerprint"] == tune["numpy"]["fingerprint"], (
+    assert tune["oracle"]["fingerprint"] == tune["kernel"]["fingerprint"], (
         "kernel-fit tuning run is not fingerprint-identical to the "
-        "reference-fit run — the histogram kernel changed a split"
+        "oracle-fit run — the histogram kernel changed a split"
     )
 
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
@@ -152,23 +153,21 @@ def test_fit_speedup_and_fingerprint_parity():
         f"\nmodel fit, {N_TREES} trees x {N_FEATURES} features x "
         f"{N_ROWS} rows (floor {SPEEDUP_FLOOR}x):\n{rows}\n"
         f"  kernel speedup {speedup:.2f}x; tune fingerprints equal "
-        f"({tune['numpy']['fingerprint'][:16]}…); "
-        f"numba {'present' if results['numba_available'] else 'absent'}\n"
+        f"({tune['kernel']['fingerprint'][:16]}…)\n"
     )
 
     assert speedup >= SPEEDUP_FLOOR, (
-        f"histogram kernel only {speedup:.1f}x over the reference fit "
+        f"histogram kernel only {speedup:.1f}x over the oracle fit "
         f"(floor {SPEEDUP_FLOOR}x) — regression on the vectorized fit path"
     )
 
 
-def test_kernel_equals_reference_at_bench_scale():
+def test_kernel_equals_oracle_at_bench_scale():
     """Node tables must agree bitwise at bench scale, or the bench is moot."""
     X, y = _training_data()
-    with use_fit_path("reference"):
+    with _fit_through("oracle"):
         ref = GradientBoostedTrees(n_trees=40, patience=40, random_state=3).fit(X, y)
-    with use_fit_path("numpy"):
-        knl = GradientBoostedTrees(n_trees=40, patience=40, random_state=3).fit(X, y)
+    knl = GradientBoostedTrees(n_trees=40, patience=40, random_state=3).fit(X, y)
     for t_ref, t_knl in zip(ref._trees, knl._trees):
         assert [
             (n.feature, n.bin_threshold, n.left, n.right) for n in t_ref._nodes

@@ -1,11 +1,12 @@
-"""Batch predict throughput: flat node tables vs the Python node walk.
+"""Batch predict throughput: flat node tables vs the node-walk oracle.
 
 The GA inner loop evaluates a whole population (>= 60 gene vectors)
 against a boosted ensemble (>= 600 trees) every generation, so batch
 predict is the hot path of the search phase.  The flat-inference layer
 (:mod:`repro.models.flat`) lowers every fitted tree into a
 structure-of-arrays table and traverses all rows with vectorized
-gathers; this benchmark measures both paths at GA scale, asserts the
+gathers; this benchmark measures it against the Python node walk kept
+as a test oracle (``tests/oracles/tree.py``) at GA scale, asserts the
 regression floor, and writes the numbers to ``BENCH_predict.json``.
 
 The floor is deliberately below the locally-measured speedup (well
@@ -26,6 +27,7 @@ from repro.common.rng import derive_rng
 from repro.core.ga import GeneticAlgorithm, MemoizedFitness
 from repro.models.boosting import GradientBoostedTrees
 from repro.sparksim.confspace import spark_configuration_space
+from tests.oracles.tree import predict_walk
 
 #: GA-phase scale from the issue's acceptance bar: nt >= 600 trees,
 #: population >= 60 rows per predict call.
@@ -71,8 +73,10 @@ def test_batch_predict_speedup(model):
     for population in (POPULATION, 256, 1024):
         X = rng.random((population, N_FEATURES))
         flat_rps, _ = _throughput(model.predict, X)
-        walk_rps, _ = _throughput(model.predict_walk, X, min_seconds=0.8,
-                                  max_repeats=20)
+        walk_rps, _ = _throughput(
+            lambda rows: predict_walk(model, rows), X, min_seconds=0.8,
+            max_repeats=20,
+        )
         speedup = flat_rps / walk_rps
         results["grid"].append(
             {
@@ -135,4 +139,4 @@ def test_batch_predict_speedup(model):
 def test_flat_equals_walk_at_bench_scale(model):
     """The two timed paths must agree bitwise, or the bench is moot."""
     X = np.random.default_rng(3).random((POPULATION, N_FEATURES))
-    assert model.predict(X).tobytes() == model.predict_walk(X).tobytes()
+    assert model.predict(X).tobytes() == predict_walk(model, X).tobytes()

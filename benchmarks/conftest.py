@@ -9,7 +9,15 @@ micro-benchmarks use pytest-benchmark's default calibration.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The fit and predict benchmarks compare against ``tests.oracles``.
+_REPO_ROOT = str(Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 
 def report(text: str) -> None:

@@ -21,7 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.models.flat import FlatForest, accumulate, observe_predict, timed
-from repro.models.histkernel import observe_fit, resolve_fit_path
+from repro.models.histkernel import observe_fit
 from repro.models.metrics import mean_relative_error
 from repro.models.tree import BinnedDataset, RegressionTree
 
@@ -47,11 +47,6 @@ class GradientBoostedTrees:
     patience / convergence_tol:
         Convergence detector: stop when no ``convergence_tol`` improvement
         for ``patience`` trees.
-    fit_path:
-        Split-search implementation for every tree (see
-        :class:`~repro.models.tree.RegressionTree`); ``None`` defers to
-        :func:`repro.models.histkernel.resolve_fit_path`.  All paths
-        produce the byte-identical model.
     """
 
     def __init__(
@@ -66,7 +61,6 @@ class GradientBoostedTrees:
         convergence_tol: float = 1e-4,
         min_samples_leaf: int = 5,
         random_state: int = 0,
-        fit_path: Optional[str] = None,
     ):
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
@@ -84,7 +78,6 @@ class GradientBoostedTrees:
         self.convergence_tol = convergence_tol
         self.min_samples_leaf = min_samples_leaf
         self.random_state = random_state
-        self.fit_path = fit_path
 
         self._trees: List[RegressionTree] = []
         self._base: float = 0.0
@@ -116,7 +109,6 @@ class GradientBoostedTrees:
         if len(X) < 4:
             raise ValueError("need at least 4 samples")
         fit_start = time.perf_counter()
-        path = resolve_fit_path(self.fit_path)
         rng = np.random.default_rng(self.random_state)
 
         n_val = max(1, int(round(len(X) * self.validation_fraction)))
@@ -148,7 +140,6 @@ class GradientBoostedTrees:
             tree = RegressionTree(
                 tree_complexity=self.tree_complexity,
                 min_samples_leaf=self.min_samples_leaf,
-                fit_path=path,
             )
             tree.fit_binned(self._binner, residual, sample_indices=sample)
             self._trees.append(tree)
@@ -172,7 +163,6 @@ class GradientBoostedTrees:
                     self.stopped_reason_ = "converged"
                     break
         observe_fit(
-            path,
             "gbt",
             time.perf_counter() - fit_start,
             len(self._trees),
@@ -211,28 +201,13 @@ class GradientBoostedTrees:
         """Predict from codes already binned against this model's binner.
 
         One stacked-table traversal gathers every tree's leaf value,
-        then :func:`repro.models.flat.accumulate` replays the reference
-        loop's left-to-right float additions — bit-for-bit equal to
-        :meth:`predict_walk`.
+        then :func:`repro.models.flat.accumulate` replays a per-tree
+        loop's left-to-right float additions — bit-for-bit equal to the
+        node-walk oracle in ``tests/oracles/tree.py``.
         """
         return accumulate(
             self._base, self.learning_rate, self.flatten().leaf_values(codes)
         )
-
-    def predict_walk(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-tree node-walk prediction (equivalence/bench)."""
-        if self._binner is None:
-            raise RuntimeError("model is not fitted")
-        if not self._trees and self._flat is not None and self._flat.n_trees:
-            raise RuntimeError(
-                "node-walk path needs per-tree state; this model was "
-                "restored from flat sections"
-            )
-        codes = self._binner.bin_matrix(np.asarray(X, dtype=float))
-        out = np.full(len(codes), self._base)
-        for tree in self._trees:
-            out += self.learning_rate * tree.predict_binned_walk(codes)
-        return out
 
     # ------------------------------------------------------------------
     def to_sections(self, prefix: str = ""):
@@ -286,8 +261,7 @@ class GradientBoostedTrees:
         The stacked node table and bin edges are adopted as-is — they
         may be read-only memmap views, in which case reconstruction
         touches no array data at all.  The per-tree training state is
-        gone: :meth:`predict` and :meth:`flatten` work identically,
-        :meth:`predict_walk` does not (and says so).
+        gone: :meth:`predict` and :meth:`flatten` work identically.
         """
         model = cls(
             n_trees=int(meta["n_trees"]),
@@ -336,7 +310,5 @@ class GradientBoostedTrees:
     def __setstate__(self, state):
         self.__dict__.update(state)
         # Models pickled before the flat layer predate the cache slot;
-        # they rebuild the stacked table on first predict.  Models
-        # pickled before the histogram kernel predate fit_path.
+        # they rebuild the stacked table on first predict.
         self.__dict__.setdefault("_flat", None)
-        self.__dict__.setdefault("fit_path", None)

@@ -22,9 +22,9 @@ node tables so a batch prediction is a handful of vectorized gathers:
   gather instead of re-running ``searchsorted`` per component.
 
 Every function here is **bit-for-bit** equal to the node-walk
-reference (``RegressionTree.predict_binned_walk``): the same leaf is
-reached through the same ``code <= bin_threshold`` comparisons, leaf
-values are gathered unchanged, and ensemble accumulation replays the
+oracle in ``tests/oracles/tree.py``: the same leaf is reached through
+the same ``code <= bin_threshold`` comparisons, leaf values are
+gathered unchanged, and ensemble accumulation replays the
 reference's left-to-right float additions (:func:`accumulate`).  That
 exactness is what lets checkpointed jobs from the node-walk era resume
 on this path with identical report fingerprints

@@ -13,7 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.models.flat import FlatForest, accumulate, observe_predict, timed
-from repro.models.histkernel import observe_fit, resolve_fit_path
+from repro.models.histkernel import observe_fit
 from repro.models.tree import BinnedDataset, RegressionTree
 
 
@@ -38,7 +38,6 @@ class RandomForest:
         max_features: Optional[int] = None,
         min_samples_leaf: int = 3,
         random_state: int = 0,
-        fit_path: Optional[str] = None,
     ):
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
@@ -47,7 +46,6 @@ class RandomForest:
         self.max_features = max_features
         self.min_samples_leaf = min_samples_leaf
         self.random_state = random_state
-        self.fit_path = fit_path
         self._trees: List[RegressionTree] = []
         self._binner: Optional[BinnedDataset] = None
         self._flat: Optional[FlatForest] = None
@@ -60,7 +58,6 @@ class RandomForest:
         if len(X) < 2:
             raise ValueError("need at least 2 samples")
         fit_start = time.perf_counter()
-        path = resolve_fit_path(self.fit_path)
         rng = np.random.default_rng(self.random_state)
         self._binner = BinnedDataset.shared(X)
         n, d = X.shape
@@ -76,12 +73,10 @@ class RandomForest:
                 min_samples_leaf=self.min_samples_leaf,
                 split_features=k,
                 random_state=self.random_state + 31 * t,
-                fit_path=path,
             )
             tree.fit_binned(self._binner, y, sample_indices=sample)
             self._trees.append(tree)
         observe_fit(
-            path,
             "rf",
             time.perf_counter() - fit_start,
             len(self._trees),
@@ -105,4 +100,3 @@ class RandomForest:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.__dict__.setdefault("_flat", None)
-        self.__dict__.setdefault("fit_path", None)

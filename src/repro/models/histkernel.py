@@ -1,10 +1,9 @@
 """Histogram-kernel split search: binned tree *fitting* at NumPy speed.
 
-PR 5 vectorized inference (:mod:`repro.models.flat`); fitting remained
-the dominant cost of every collect→refit cycle because
-``RegressionTree._best_split_reference`` loops over all features in
-Python and evaluates one node at a time.  This module replaces that
-inner loop with a histogram kernel:
+Fitting is the dominant cost of every collect→refit cycle.  The
+semantic reference for split search — a per-feature Python loop that
+evaluates one node at a time — lives in ``tests/oracles/tree.py``; this
+module is the one production implementation, a histogram kernel:
 
 * **All features in one shot** — a node's per-``(feature, bin)``
   count/sum histograms are built by a single flattened-index
@@ -20,11 +19,6 @@ inner loop with a histogram kernel:
   smaller child is histogrammed; the float *sum* histograms are always
   recomputed, because subtracting them would reorder float additions
   and break bit-equality.
-* **Guarded numba fast path** — when :mod:`numba` is importable the
-  per-node evaluation runs as one jitted loop nest; the import is lazy,
-  the dependency optional, and the NumPy kernel is the always-available
-  fallback (the same guarded-fast-path pattern
-  :mod:`repro.models.flat` established for inference).
 
 Determinism
 -----------
@@ -56,9 +50,6 @@ full argument.
 
 from __future__ import annotations
 
-import os
-import time
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -66,190 +57,10 @@ import numpy as np
 from repro.telemetry import events as tele
 from repro.telemetry.metrics import get_registry
 
-__all__ = [
-    "FrontierEvaluator",
-    "available_fit_paths",
-    "numba_available",
-    "observe_fit",
-    "resolve_fit_path",
-    "set_fit_path",
-    "use_fit_path",
-]
+__all__ = ["FrontierEvaluator", "observe_fit"]
 
 #: Gain floor shared with the reference: a split must beat this strictly.
 MIN_GAIN = 1e-12
-
-#: Recognized fit-path names.  ``auto`` resolves to ``numba`` when the
-#: import guard succeeds, else ``numpy``; ``reference`` forces the
-#: original per-feature Python loop (kept for equivalence tests).
-FIT_PATHS = ("auto", "numpy", "numba", "reference")
-
-#: Environment override consulted when no explicit path is set.
-FIT_PATH_ENV = "REPRO_FIT_PATH"
-
-_path_override: Optional[str] = None
-
-
-def set_fit_path(path: Optional[str]) -> None:
-    """Set the process-wide default fit path (``None`` clears it)."""
-    global _path_override
-    if path is not None and path not in FIT_PATHS:
-        raise ValueError(f"unknown fit path {path!r}; choose from {FIT_PATHS}")
-    _path_override = path
-
-
-@contextmanager
-def use_fit_path(path: Optional[str]):
-    """Temporarily force a fit path (benchmarks and equivalence tests).
-
-    Process-local: worker processes spawned mid-context (e.g. the HM's
-    speculative parallel fit) do not inherit it — set ``REPRO_FIT_PATH``
-    in the environment instead when that matters.
-    """
-    previous = _path_override
-    set_fit_path(path)
-    try:
-        yield
-    finally:
-        set_fit_path(previous)
-
-
-def resolve_fit_path(requested: Optional[str] = None) -> str:
-    """Concrete path for a fit call: ``numpy``, ``numba`` or ``reference``.
-
-    Priority: explicit ``requested`` (a model's ``fit_path``), then
-    :func:`set_fit_path`/:func:`use_fit_path`, then the
-    ``REPRO_FIT_PATH`` environment variable, then ``auto``.  A ``numba``
-    request on a box without numba degrades to ``numpy`` — the guarded
-    fallback, never an import error.
-    """
-    path = requested or _path_override or os.environ.get(FIT_PATH_ENV) or "auto"
-    if path not in FIT_PATHS:
-        raise ValueError(f"unknown fit path {path!r}; choose from {FIT_PATHS}")
-    if path == "auto":
-        return "numba" if numba_available() else "numpy"
-    if path == "numba" and not numba_available():
-        return "numpy"
-    return path
-
-
-def available_fit_paths() -> Tuple[str, ...]:
-    """The concrete paths runnable in this process."""
-    paths: List[str] = ["reference", "numpy"]
-    if numba_available():
-        paths.append("numba")
-    return tuple(paths)
-
-
-# ----------------------------------------------------------------------
-# Numba guard
-# ----------------------------------------------------------------------
-_numba_eval = None
-_numba_probed = False
-
-
-def numba_available() -> bool:
-    """True when the jitted kernel imported and compiled cleanly.
-
-    The probe runs once per process; *any* failure (missing module,
-    LLVM mismatch, compilation error) permanently selects the NumPy
-    fallback instead of raising.
-    """
-    return _load_numba_eval() is not None
-
-
-def _load_numba_eval():
-    global _numba_eval, _numba_probed
-    if _numba_probed:
-        return _numba_eval
-    _numba_probed = True
-    try:
-        import numba  # noqa: F401  (optional dependency, lazy on purpose)
-
-        _numba_eval = _build_numba_eval(numba)
-    except Exception:
-        _numba_eval = None
-    return _numba_eval
-
-
-def _build_numba_eval(numba):
-    """Compile the per-node evaluator.
-
-    The jitted code replays the NumPy kernel's float operations in the
-    same order: histogram cells accumulate in ascending row order (what
-    ``np.bincount`` does), prefix sums run left-to-right (what
-    ``np.cumsum`` does), and the gain keeps the reference association
-    ``(left + right) - parent``.  Scalars that NumPy computes with a
-    pairwise reduction (``total_sum``) are computed *outside* and passed
-    in, so no numba reduction can disagree with NumPy in the last bit.
-    No ``fastmath`` — reassociation is exactly what must not happen.
-    """
-
-    @numba.njit(cache=False)
-    def eval_node(codes, idx, features, nb_max, y, msl, total_sum, parent_term):
-        n = idx.shape[0]
-        k = features.shape[0]
-        best_gain = MIN_GAIN
-        best_pos = -1
-        best_bin = -1
-        counts = np.zeros(nb_max, dtype=np.int64)
-        sums = np.zeros(nb_max, dtype=np.float64)
-        for p in range(k):
-            feature = features[p]
-            for b in range(nb_max):
-                counts[b] = 0
-                sums[b] = 0.0
-            for i in range(n):
-                row = idx[i]
-                c = codes[row, feature]
-                counts[c] += 1
-                sums[c] += y[row]
-            # Prefix scan + gain, replaying the reference's first-max
-            # (NaN-first) argmax inside the feature.
-            left_count = 0
-            left_sum = 0.0
-            feat_gain = -np.inf
-            feat_bin = 0
-            feat_nan = False
-            for b in range(nb_max - 1):
-                left_count += counts[b]
-                left_sum += sums[b]
-                right_count = n - left_count
-                right_sum = total_sum - left_sum
-                if left_count >= msl and right_count >= msl:
-                    g = (
-                        left_sum * left_sum / left_count
-                        + right_sum * right_sum / right_count
-                    ) - parent_term
-                else:
-                    g = -np.inf
-                if g != g:  # NaN: np.argmax picks the first NaN and stops
-                    feat_bin = b
-                    feat_nan = True
-                    break
-                if g > feat_gain:
-                    feat_gain = g
-                    feat_bin = b
-            # Across features: strict >, first wins, NaN never selected.
-            if not feat_nan and feat_gain > best_gain:
-                best_gain = feat_gain
-                best_pos = p
-                best_bin = feat_bin
-        return best_pos, best_bin, best_gain
-
-    # Force compilation now so a broken toolchain is caught by the
-    # guard rather than mid-fit.
-    eval_node(
-        np.zeros((2, 1), dtype=np.uint8),
-        np.arange(2, dtype=np.int64),
-        np.zeros(1, dtype=np.int64),
-        2,
-        np.zeros(2, dtype=np.float64),
-        1,
-        0.0,
-        0.0,
-    )
-    return eval_node
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +154,6 @@ class FrontierEvaluator:
         binner,
         y: np.ndarray,
         min_samples_leaf: int,
-        path: str,
         rng: np.random.Generator,
         split_features: Optional[int],
         features: np.ndarray,
@@ -351,7 +161,6 @@ class FrontierEvaluator:
         self.binner = binner
         self.y = y
         self.min_samples_leaf = min_samples_leaf
-        self.path = path
         self.rng = rng
         self.split_features = split_features
         self.features = np.asarray(features)
@@ -370,7 +179,6 @@ class FrontierEvaluator:
         )
         #: node_id -> full-feature integer count histogram (full mode).
         self._counts: Dict[int, np.ndarray] = {}
-        self._numba_eval = _load_numba_eval() if path == "numba" else None
 
     # -- evaluation ----------------------------------------------------
     def evaluate(self, node_id: int, idx: np.ndarray):
@@ -403,7 +211,6 @@ class FrontierEvaluator:
             plans.append((node_id, idx, self._draw()))
         if (
             self.full
-            and self._numba_eval is None
             and parent_counts is not None
             and plans[0] is not None
             and plans[1] is not None
@@ -447,23 +254,6 @@ class FrontierEvaluator:
             return None
         y_node = self.y[idx]
         total_sum = y_node.sum()
-        if self._numba_eval is not None:
-            pos, bin_index, gain = self._numba_eval(
-                self.binner.codes,
-                np.ascontiguousarray(idx, dtype=np.int64),
-                np.ascontiguousarray(candidates, dtype=np.int64),
-                self.nb_max,
-                np.ascontiguousarray(self.y, dtype=np.float64),
-                self.min_samples_leaf,
-                float(total_sum),
-                float(total_sum**2 / n),
-            )
-            if pos < 0:
-                return None
-            feature = int(candidates[pos])
-            col = self.binner.codes[idx, feature]
-            mask = col <= bin_index
-            return (float(gain), feature, int(bin_index), idx[mask], idx[~mask])
         if self.full:
             codes_sub = self.binner.codes[idx]
         else:
@@ -493,21 +283,18 @@ class FrontierEvaluator:
 # ----------------------------------------------------------------------
 # Fit telemetry (mirrors flat.observe_predict)
 # ----------------------------------------------------------------------
-def observe_fit(
-    path: str, model: str, seconds: float, trees: int, nodes: int
-) -> None:
+def observe_fit(model: str, seconds: float, trees: int, nodes: int) -> None:
     """Record one model fit in the metrics registry and event stream.
 
     Emits ``model.fit.seconds`` (timer) plus ``model.fit.trees`` /
-    ``model.fit.nodes`` (counters) labeled by model kind and fit path
-    (``numpy``/``numba``/``reference``), mirroring the
+    ``model.fit.nodes`` (counters) labeled by model kind, mirroring the
     ``model.predict.*`` family, and — when event telemetry is on — a
     ``model.fit`` event so ``repro top`` can surface a fit row in the
     engine panel.
     """
     registry = get_registry()
     if registry.enabled:
-        labels = {"model": model, "path": path}
+        labels = {"model": model}
         registry.timer("model.fit.seconds", "model fit latency").labels(
             **labels
         ).observe(seconds)
@@ -521,15 +308,7 @@ def observe_fit(
         tele.event(
             "model.fit",
             model=model,
-            path=path,
             seconds=float(seconds),
             trees=int(trees),
             nodes=int(nodes),
         )
-
-
-def timed_fit(fn):
-    """``(result, seconds)`` helper matching :func:`repro.models.flat.timed`."""
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start

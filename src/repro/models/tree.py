@@ -13,10 +13,10 @@ bincount rather than a sort — essential when boosting fits thousands of
 trees (``nt`` up to 12 000 in Figure 8).  The per-node search itself
 runs through :mod:`repro.models.histkernel` — all features histogrammed
 in one flattened ``np.bincount``, both children of a committed split
-scored in one frontier batch — with the original per-feature Python
-loop kept verbatim as :meth:`RegressionTree._best_split_reference`;
-the kernel is bit-identical to it by construction (see the histkernel
-module docstring and DESIGN.md §17).
+scored in one frontier batch.  It is bit-identical by construction to
+the per-feature Python loop kept as a test oracle in
+``tests/oracles/tree.py`` (see the histkernel module docstring and
+DESIGN.md §17).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.models.histkernel import FrontierEvaluator, resolve_fit_path
+from repro.models.histkernel import FrontierEvaluator
 
 #: Default number of histogram bins per feature.
 DEFAULT_BINS = 64
@@ -285,13 +285,6 @@ class RegressionTree:
     max_bins:
         Histogram resolution when the tree bins its own data; ignored
         when fitted through :meth:`fit_binned`.
-    fit_path:
-        Split-search implementation: ``numpy`` (histogram kernel),
-        ``numba`` (jitted kernel, falls back to ``numpy`` when numba is
-        absent), ``reference`` (the original per-feature loop), or
-        ``auto``/``None`` to defer to
-        :func:`repro.models.histkernel.resolve_fit_path`.  Every path
-        grows the byte-identical tree.
     """
 
     def __init__(
@@ -301,7 +294,6 @@ class RegressionTree:
         max_bins: int = DEFAULT_BINS,
         split_features: Optional[int] = None,
         random_state: int = 0,
-        fit_path: Optional[str] = None,
     ):
         if tree_complexity < 1:
             raise ValueError("tree_complexity must be >= 1")
@@ -316,7 +308,6 @@ class RegressionTree:
         #: every split (None = consider all features at each split).
         self.split_features = split_features
         self.random_state = random_state
-        self.fit_path = fit_path
         self._rng = np.random.default_rng(random_state)
         self._nodes: List[_Node] = []
         self._binner: Optional[BinnedDataset] = None
@@ -338,6 +329,12 @@ class RegressionTree:
 
         ``sample_indices`` selects a bootstrap sample; ``feature_indices``
         restricts candidate features (random-forest style).
+
+        Growth is best-first over the histogram kernel: a committed
+        split's two children are scored in a single
+        :meth:`FrontierEvaluator.evaluate_pair` batch (one heap, one
+        tie-break counter, left-then-right RNG order), which lets the
+        kernel share one histogram pass per pair and reuse parent counts.
         """
         y = np.asarray(y, dtype=float)
         if len(y) != binner.n_samples:
@@ -356,32 +353,10 @@ class RegressionTree:
             if feature_indices is None
             else np.asarray(feature_indices)
         )
-
-        if resolve_fit_path(self.fit_path) == "reference":
-            return self._fit_binned_reference(binner, y, idx, features)
-        return self._fit_binned_kernel(binner, y, idx, features)
-
-    def _fit_binned_kernel(
-        self,
-        binner: BinnedDataset,
-        y: np.ndarray,
-        idx: np.ndarray,
-        features: np.ndarray,
-    ) -> "RegressionTree":
-        """Best-first growth over the histogram kernel.
-
-        Structurally the reference loop with one change: a committed
-        split's two children are scored in a single
-        :meth:`FrontierEvaluator.evaluate_pair` batch (same heap, same
-        tie-break counter, same left-then-right RNG order), which is
-        what lets the kernel share one histogram pass per pair and
-        reuse parent counts.
-        """
         evaluator = FrontierEvaluator(
             binner,
             y,
             self.min_samples_leaf,
-            resolve_fit_path(self.fit_path),
             self._rng,
             self.split_features,
             features,
@@ -422,106 +397,6 @@ class RegressionTree:
                     )
         return self
 
-    def _fit_binned_reference(
-        self,
-        binner: BinnedDataset,
-        y: np.ndarray,
-        idx: np.ndarray,
-        features: np.ndarray,
-    ) -> "RegressionTree":
-        """The original one-node-at-a-time growth loop, kept verbatim.
-
-        Equivalence tests fit the same data through this path and the
-        kernel path and require byte-identical node tables.
-        """
-        self._nodes = [_Node(value=float(np.mean(y[idx])))]
-        # Best-first frontier: (-gain, tiebreak, node_id, idx, split_info)
-        frontier: list = []
-        counter = itertools.count()
-        first = self._best_split_reference(binner, y, idx, features)
-        if first is not None:
-            heapq.heappush(frontier, (-first[0], next(counter), 0, idx, first))
-
-        splits_done = 0
-        while frontier and splits_done < self.tree_complexity:
-            neg_gain, _, node_id, node_idx, split = heapq.heappop(frontier)
-            gain, feature, bin_threshold, left_idx, right_idx = split
-            node = self._nodes[node_id]
-            node.feature = int(feature)
-            node.bin_threshold = int(bin_threshold)
-            node.threshold = binner.threshold(int(feature), int(bin_threshold))
-            node.left = len(self._nodes)
-            self._nodes.append(_Node(value=float(np.mean(y[left_idx]))))
-            node.right = len(self._nodes)
-            self._nodes.append(_Node(value=float(np.mean(y[right_idx]))))
-            splits_done += 1
-
-            for child_id, child_idx in ((node.left, left_idx), (node.right, right_idx)):
-                child_split = self._best_split_reference(binner, y, child_idx, features)
-                if child_split is not None:
-                    heapq.heappush(
-                        frontier,
-                        (-child_split[0], next(counter), child_id, child_idx, child_split),
-                    )
-        return self
-
-    # ------------------------------------------------------------------
-    def _best_split_reference(
-        self,
-        binner: BinnedDataset,
-        y: np.ndarray,
-        idx: np.ndarray,
-        features: np.ndarray,
-    ):
-        """Best (gain, feature, bin, left_idx, right_idx) or None.
-
-        Gain is the decrease in sum of squared errors from splitting,
-        computed from cumulative histogram sums.  This per-feature
-        Python loop is the semantic reference the histogram kernel must
-        match bit-for-bit.
-        """
-        n = len(idx)
-        if n < 2 * self.min_samples_leaf:
-            return None
-        if self.split_features is not None and self.split_features < len(features):
-            features = self._rng.choice(
-                features, size=self.split_features, replace=False
-            )
-        y_node = y[idx]
-        total_sum = y_node.sum()
-        best_gain = 1e-12
-        best = None
-        codes = binner.codes[idx]
-        for feature in features:
-            nb = int(binner.n_bins[feature])
-            if nb < 2:
-                continue
-            col = codes[:, feature]
-            counts = np.bincount(col, minlength=nb).astype(float)
-            sums = np.bincount(col, weights=y_node, minlength=nb)
-            left_counts = np.cumsum(counts)[:-1]
-            left_sums = np.cumsum(sums)[:-1]
-            right_counts = n - left_counts
-            right_sums = total_sum - left_sums
-            valid = (left_counts >= self.min_samples_leaf) & (
-                right_counts >= self.min_samples_leaf
-            )
-            if not valid.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = (
-                    left_sums**2 / left_counts
-                    + right_sums**2 / right_counts
-                    - total_sum**2 / n
-                )
-            gain = np.where(valid, gain, -np.inf)
-            j = int(np.argmax(gain))
-            if gain[j] > best_gain:
-                best_gain = float(gain[j])
-                mask = col <= j
-                best = (best_gain, int(feature), j, idx[mask], idx[~mask])
-        return best
-
     # ------------------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self._binner is None:
@@ -541,34 +416,12 @@ class RegressionTree:
     def predict_binned(self, codes: np.ndarray) -> np.ndarray:
         """Predict from pre-binned codes via the flat node table.
 
-        Bit-for-bit equal to :meth:`predict_binned_walk`: the flat
-        traversal applies the same ``code <= bin_threshold`` branches
-        and gathers the same stored leaf values.
+        Bit-for-bit equal to a node-by-node walk of the tree (the
+        ``tests/oracles/tree.py`` oracle): the flat traversal applies the
+        same ``code <= bin_threshold`` branches and gathers the same
+        stored leaf values.
         """
         return self.flatten().predict(codes)
-
-    def predict_binned_walk(self, codes: np.ndarray) -> np.ndarray:
-        """Reference node-walk prediction (kept for equivalence tests)."""
-        if not self._nodes:
-            raise RuntimeError("tree is not fitted")
-        n = len(codes)
-        out = np.empty(n, dtype=float)
-        node_ids = np.zeros(n, dtype=np.int64)
-        active = np.arange(n)
-        while len(active):
-            still = []
-            for node_id in np.unique(node_ids[active]):
-                node = self._nodes[node_id]
-                members = active[node_ids[active] == node_id]
-                if node.is_leaf:
-                    out[members] = node.value
-                    continue
-                go_left = codes[members, node.feature] <= node.bin_threshold
-                node_ids[members[go_left]] = node.left
-                node_ids[members[~go_left]] = node.right
-                still.append(members)
-            active = np.concatenate(still) if still else np.empty(0, dtype=np.int64)
-        return out
 
     @property
     def n_internal_nodes(self) -> int:
@@ -580,7 +433,5 @@ class RegressionTree:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # Trees pickled before the flat layer predate the cache slot;
-        # trees pickled before the histogram kernel predate fit_path.
+        # Trees pickled before the flat layer predate the cache slot.
         self.__dict__.setdefault("_flat", None)
-        self.__dict__.setdefault("fit_path", None)

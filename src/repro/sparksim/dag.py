@@ -18,10 +18,9 @@ Byte-flow conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+import heapq
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -110,6 +109,9 @@ class JobSpec:
 
     ``program`` and ``datasize_bytes`` identify the program-input pair
     (Section 3.1's ``Pv`` vectors) and seed the simulator's noise.
+    The execution order is computed once here and kept outside the
+    dataclass fields, so equality, hashing and ``repr`` see only the
+    declared stages.
     """
 
     program: str
@@ -129,25 +131,39 @@ class JobSpec:
                     )
         if not self.stages:
             raise ValueError("job needs at least one stage")
-        graph = self.graph()
-        if not nx.is_directed_acyclic_graph(graph):
-            raise ValueError("stage dependencies contain a cycle")
+        object.__setattr__(self, "_order", self._sorted_stages())
 
-    def graph(self) -> nx.DiGraph:
-        """The stage DAG (edges parent -> child)."""
-        graph = nx.DiGraph()
+    def _sorted_stages(self) -> Tuple[StageSpec, ...]:
+        """Kahn's algorithm, always emitting the smallest ready name.
+
+        A parent listed twice is waited on twice and releases its child
+        twice, so it orders like one edge; a stage listing itself never
+        becomes ready, so it is reported as a cycle.
+        """
+        children: Dict[str, List[str]] = {s.name: [] for s in self.stages}
+        waiting: Dict[str, int] = {}
         for stage in self.stages:
-            graph.add_node(stage.name, spec=stage)
-        for stage in self.stages:
+            waiting[stage.name] = len(stage.parents)
             for parent in stage.parents:
-                graph.add_edge(parent, stage.name)
-        return graph
+                children[parent].append(stage.name)
+        ready = [name for name, count in waiting.items() if count == 0]
+        heapq.heapify(ready)
+        by_name = {s.name: s for s in self.stages}
+        order: List[StageSpec] = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(by_name[name])
+            for child in children[name]:
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    heapq.heappush(ready, child)
+        if len(order) != len(self.stages):
+            raise ValueError("stage dependencies contain a cycle")
+        return tuple(order)
 
     def topological_stages(self) -> List[StageSpec]:
-        """Stages in a valid execution order."""
-        by_name = {s.name: s for s in self.stages}
-        order = nx.lexicographical_topological_sort(self.graph())
-        return [by_name[name] for name in order]
+        """Stages in execution order: parents first, ties by name."""
+        return list(self._order)
 
     def stage(self, name: str) -> StageSpec:
         for stage in self.stages:

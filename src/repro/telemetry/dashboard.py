@@ -180,7 +180,6 @@ class FleetDashboard:
             "fit_trees": int(
                 sum(v for _, v in self.rollup.values("model.fit", "trees"))
             ),
-            "fit_path": self.rollup.last("model.fit", "path"),
         }
 
 
@@ -302,8 +301,7 @@ def render_snapshot(snap: Dict[str, object], color: bool = True) -> str:
     lines.append(
         f"  model fits {engine.get('fits', 0)}   "
         f"fit p50 {_fmt_opt(engine.get('fit_seconds_p50'))}s   "
-        f"trees {engine.get('fit_trees', 0)}   "
-        f"path {engine.get('fit_path') or '-'}"
+        f"trees {engine.get('fit_trees', 0)}"
     )
     api = snap.get("api", {})
     lines.append("")

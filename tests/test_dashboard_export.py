@@ -77,6 +77,9 @@ class TestFleetDashboard:
         assert len(job["ga"]["history"]) == FAST["generations"] + 1
         assert job["ga"]["best"] == job["ga"]["history"][-1]
         assert snap["engine"]["requests"] > 0
+        # Fit row: the job's model.fit events, with no fit-path field.
+        assert snap["engine"]["fits"] > 0 and snap["engine"]["fit_trees"] > 0
+        assert "fit_path" not in snap["engine"]
         assert snap["events"]["records"] > 0
 
     def test_refresh_is_incremental(self, finished_store):
@@ -91,6 +94,8 @@ class TestFleetDashboard:
         for heading in ("JOBS", "WORKERS", "ENGINE"):
             assert heading in frame
         assert "100%" in frame  # the finished job's progress bar
+        (fit_row,) = [line for line in frame.splitlines() if "model fits" in line]
+        assert "path" not in fit_row
 
     def test_run_top_once_json_writes_snapshot(self, finished_store, capsys):
         import io

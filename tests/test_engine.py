@@ -130,6 +130,14 @@ def test_cache_key_depends_on_substrate_signature(space):
     assert request_key(request, "sig-a") != request_key(request, "sig-b")
 
 
+def test_cache_key_is_stable():
+    """On-disk caches from earlier releases stay valid only while the key
+    of a given request never changes."""
+    job = get_workload("KM").job(160.0)
+    request = ExecRequest(job=job, config=default_configuration())
+    assert request_key(request, "sig") == "b6c9c611912b3da493b12a68f5c22608"
+
+
 def test_disk_cache_survives_backend_instances(space, tmp_path):
     request = _requests(space, n=1)[0]
     first = CachedBackend(InProcessBackend(), directory=tmp_path)

@@ -1,7 +1,7 @@
 """Flat-array inference: bitwise equivalence, binning, memoization, drain.
 
 The load-bearing property of :mod:`repro.models.flat` is that the fast
-path is *bit-for-bit* equal to the node-walk reference — every
+path is *bit-for-bit* equal to the node-walk oracle — every
 fingerprint-equality guarantee of the store/service layers rides on it —
 so these tests compare with ``tobytes()``, never ``allclose``.
 """
@@ -22,15 +22,7 @@ from repro.models.forest import RandomForest
 from repro.models.hierarchical import HierarchicalModel
 from repro.models.tree import BinnedDataset, RegressionTree, bin_with_edges
 from repro.telemetry.metrics import MetricsRegistry, set_registry
-
-
-def _walk_gbt(model: GradientBoostedTrees, X: np.ndarray) -> np.ndarray:
-    """The reference ensemble loop, reconstructed from node walks."""
-    codes = model._binner.bin_matrix(np.asarray(X, dtype=float))
-    out = np.full(len(codes), model._base)
-    for tree in model._trees:
-        out += model.learning_rate * tree.predict_binned_walk(codes)
-    return out
+from tests.oracles.tree import predict_binned_walk, predict_walk
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +118,7 @@ class TestFlatTree:
         tree = RegressionTree(tree_complexity=tc, min_samples_leaf=1).fit(X, y)
         codes = tree._binner.bin_matrix(rng.random((70, 5)))
         flat = tree.predict_binned(codes)
-        walk = tree.predict_binned_walk(codes)
+        walk = predict_binned_walk(tree, codes)
         assert flat.tobytes() == walk.tobytes()
 
     def test_single_leaf_stump(self):
@@ -137,7 +129,7 @@ class TestFlatTree:
         assert tree.n_internal_nodes == 0
         codes = tree._binner.bin_matrix(X)
         assert tree.predict_binned(codes).tobytes() == \
-            tree.predict_binned_walk(codes).tobytes()
+            predict_binned_walk(tree, codes).tobytes()
 
     def test_over_255_nodes(self):
         rng = np.random.default_rng(7)
@@ -147,7 +139,7 @@ class TestFlatTree:
         assert len(tree._nodes) > 255
         codes = tree._binner.bin_matrix(rng.random((100, 6)))
         assert tree.predict_binned(codes).tobytes() == \
-            tree.predict_binned_walk(codes).tobytes()
+            predict_binned_walk(tree, codes).tobytes()
 
     def test_flatten_cached_and_invalidated_by_refit(self):
         rng = np.random.default_rng(8)
@@ -180,8 +172,7 @@ class TestFlatForest:
             n_trees=30, random_state=seed, patience=10 if seed % 2 else 200
         ).fit(X, y)
         Q = rng.random((60, 4))
-        assert model.predict(Q).tobytes() == _walk_gbt(model, Q).tobytes()
-        assert model.predict(Q).tobytes() == model.predict_walk(Q).tobytes()
+        assert model.predict(Q).tobytes() == predict_walk(model, Q).tobytes()
 
     def test_stacked_table_matches_per_tree(self):
         rng = np.random.default_rng(10)
@@ -192,7 +183,7 @@ class TestFlatForest:
         codes = model._binner.bin_matrix(rng.random((25, 3)))
         leaves = forest.leaf_values(codes)
         for t, tree in enumerate(model._trees):
-            assert leaves[t].tobytes() == tree.predict_binned_walk(codes).tobytes()
+            assert leaves[t].tobytes() == predict_binned_walk(tree, codes).tobytes()
 
     def test_prefix_traversal(self):
         rng = np.random.default_rng(11)
@@ -212,7 +203,7 @@ class TestFlatForest:
         codes = model._binner.bin_matrix(Q)
         total = np.zeros(len(codes))
         for tree in model._trees:
-            total += tree.predict_binned_walk(codes)
+            total += predict_binned_walk(tree, codes)
         assert model.predict(Q).tobytes() == (total / len(model._trees)).tobytes()
 
     def test_gbt_pickle_round_trip_keeps_fast_path(self):
@@ -256,6 +247,23 @@ class TestFlatForest:
         revived = GradientBoostedTrees.__new__(GradientBoostedTrees)
         revived.__setstate__(old_state)
         assert revived.predict(Q).tobytes() == expected.tobytes()
+
+    def test_pickles_with_a_fit_path_field_still_load(self):
+        """Artifacts written while models carried a ``fit_path`` field
+        load and predict unchanged; the stale field is simply ignored."""
+        rng = np.random.default_rng(15)
+        model = HierarchicalModel(
+            n_trees=6, target_accuracy=0.999, max_order=2, random_state=4
+        ).fit(rng.random((90, 3)), rng.normal(size=90))
+        Q = rng.random((12, 3))
+        expected = model.predict(Q).tobytes()
+        model.fit_path = None
+        for component in model._components:
+            component.fit_path = "numpy"
+            for tree in component._trees:
+                tree.fit_path = "numpy"
+        revived = pickle.loads(pickle.dumps(model))
+        assert revived.predict(Q).tobytes() == expected
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +315,7 @@ class TestMergedBinner:
             n_trees=15, target_accuracy=0.99, max_order=3, random_state=seed
         ).fit(X, y)
         Q = rng.random((50, 4))
-        reference = model._blend([_walk_gbt(c, Q) for c in model._components])
+        reference = model._blend([predict_walk(c, Q) for c in model._components])
         assert model.predict(Q).tobytes() == reference.tobytes()
 
     def test_hm_pickle_round_trip(self):

@@ -1,11 +1,11 @@
-"""Histogram-kernel fit path: equivalence, plumbing, sharing, telemetry.
+"""Histogram-kernel fit: equivalence, sharing, telemetry.
 
-The kernel's contract is *byte identity* with the reference per-feature
-split search — same node tables, same leaf values, same RNG
-consumption — because report fingerprints, dedup, and crash-resume all
-assume fitted models are bit-stable.  These tests pin that contract on
-adversarial inputs, plus the fit-path resolution order, the shared
-binner cache, and the ``model.fit.*`` telemetry.
+The kernel's contract is *byte identity* with the per-feature split
+search kept as an oracle in ``tests/oracles/tree.py`` — same node
+tables, same leaf values, same RNG consumption — because report
+fingerprints, dedup, and crash-resume all assume fitted models are
+bit-stable.  These tests pin that contract on adversarial inputs, plus
+the shared binner cache and the ``model.fit.*`` telemetry.
 """
 
 import numpy as np
@@ -13,19 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models import histkernel
 from repro.models.boosting import GradientBoostedTrees
 from repro.models.forest import RandomForest
 from repro.models.hierarchical import HierarchicalModel
-from repro.models.histkernel import (
-    FIT_PATH_ENV,
-    available_fit_paths,
-    numba_available,
-    observe_fit,
-    resolve_fit_path,
-    set_fit_path,
-    use_fit_path,
-)
+from repro.models.histkernel import observe_fit
 from repro.models.tree import (
     BinnedDataset,
     RegressionTree,
@@ -33,6 +24,7 @@ from repro.models.tree import (
     clear_shared_binners,
 )
 from repro.telemetry.metrics import MetricsRegistry, set_registry
+from tests.oracles import tree as oracle
 
 
 @pytest.fixture(autouse=True)
@@ -53,14 +45,15 @@ def node_table(tree):
     return structure, values
 
 
-def fit_paths_pair(X, y, path, **kwargs):
-    ref = RegressionTree(fit_path="reference", **kwargs).fit(X, y)
-    alt = RegressionTree(fit_path=path, **kwargs).fit(X, y)
-    return ref, alt
+def fit_oracle_and_kernel(X, y, **kwargs):
+    ref = RegressionTree(**kwargs)
+    oracle.fit_binned(ref, BinnedDataset(X, ref.max_bins), y)
+    knl = RegressionTree(**kwargs).fit(X, y)
+    return ref, knl
 
 
 # ----------------------------------------------------------------------
-# Kernel == reference, adversarially
+# Kernel == oracle, adversarially
 # ----------------------------------------------------------------------
 class TestSplitEquivalence:
     @given(
@@ -98,7 +91,7 @@ class TestSplitEquivalence:
             split_features=max(1, n_features // 2) if mtry else None,
             random_state=seed % 13,
         )
-        ref, knl = fit_paths_pair(X, y, "numpy", **kwargs)
+        ref, knl = fit_oracle_and_kernel(X, y, **kwargs)
         assert node_table(ref) == node_table(knl)
         # Same mtry draws consumed in the same order.
         assert ref._rng.bit_generator.state == knl._rng.bit_generator.state
@@ -112,15 +105,15 @@ class TestSplitEquivalence:
         rng = np.random.default_rng(msl * 10 + offset)
         X = rng.random((n, 4))
         y = rng.normal(size=n)
-        ref, knl = fit_paths_pair(
-            X, y, "numpy", tree_complexity=3, min_samples_leaf=msl
+        ref, knl = fit_oracle_and_kernel(
+            X, y, tree_complexity=3, min_samples_leaf=msl
         )
         assert node_table(ref) == node_table(knl)
 
     def test_all_equal_target_leafs_out(self):
         X = np.random.default_rng(0).random((40, 5))
         y = np.full(40, 3.0)
-        ref, knl = fit_paths_pair(X, y, "numpy", tree_complexity=5)
+        ref, knl = fit_oracle_and_kernel(X, y, tree_complexity=5)
         assert node_table(ref) == node_table(knl)
         assert len(knl._nodes) == 1 and knl._nodes[0].is_leaf
 
@@ -131,71 +124,14 @@ class TestSplitEquivalence:
         y = rng.normal(size=60)
         binner = BinnedDataset(X)
         features = np.array([4, 1, 5])
-        ref = RegressionTree(fit_path="reference", tree_complexity=4)
-        ref.fit_binned(binner, y, feature_indices=features)
-        knl = RegressionTree(fit_path="numpy", tree_complexity=4)
+        ref = RegressionTree(tree_complexity=4)
+        oracle.fit_binned(ref, binner, y, feature_indices=features)
+        knl = RegressionTree(tree_complexity=4)
         knl.fit_binned(binner, y, feature_indices=features)
         assert node_table(ref) == node_table(knl)
         assert all(
             n.feature in (4, 1, 5) for n in knl._nodes if not n.is_leaf
         )
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_numba_path_byte_identical(self):
-        rng = np.random.default_rng(11)
-        X = rng.random((120, 7))
-        X[:, 2] = 0.0
-        y = np.round(rng.normal(size=120), 1)
-        ref, jit = fit_paths_pair(
-            X, y, "numba", tree_complexity=7, min_samples_leaf=2
-        )
-        assert node_table(ref) == node_table(jit)
-
-
-# ----------------------------------------------------------------------
-# Fit-path resolution
-# ----------------------------------------------------------------------
-class TestFitPathResolution:
-    def test_auto_resolves_to_best_available(self):
-        expected = "numba" if numba_available() else "numpy"
-        assert resolve_fit_path(None) in available_fit_paths()
-        assert resolve_fit_path("auto") == expected
-
-    def test_explicit_argument_beats_context(self):
-        with use_fit_path("reference"):
-            assert resolve_fit_path("numpy") == "numpy"
-            assert resolve_fit_path(None) == "reference"
-
-    def test_context_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(FIT_PATH_ENV, "reference")
-        assert resolve_fit_path(None) == "reference"
-        with use_fit_path("numpy"):
-            assert resolve_fit_path(None) == "numpy"
-        assert resolve_fit_path(None) == "reference"
-
-    def test_numba_request_degrades_without_numba(self):
-        if numba_available():
-            assert resolve_fit_path("numba") == "numba"
-        else:
-            assert resolve_fit_path("numba") == "numpy"
-
-    def test_unknown_path_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_fit_path("cython")
-        with pytest.raises(ValueError):
-            set_fit_path("fortran")
-
-    def test_context_restores_after_exception(self):
-        set_fit_path(None)
-        with pytest.raises(RuntimeError):
-            with use_fit_path("reference"):
-                raise RuntimeError("boom")
-        assert histkernel._path_override is None
-
-    def test_available_paths_always_include_fallbacks(self):
-        paths = available_fit_paths()
-        assert "reference" in paths and "numpy" in paths
-        assert ("numba" in paths) == numba_available()
 
 
 # ----------------------------------------------------------------------
@@ -242,45 +178,54 @@ class TestSharedBinners:
 
 
 # ----------------------------------------------------------------------
-# Ensemble models across paths
+# Ensemble models: kernel fit == oracle fit
 # ----------------------------------------------------------------------
 class TestEnsemblesBitwiseAcrossPaths:
+    """Every tree of the ensemble fitted through the oracle instead of the
+    kernel must leave the ensemble's predictions byte-identical."""
+
     def _data(self, seed, n=90, d=6):
         rng = np.random.default_rng(seed)
         return rng.random((n, d)), rng.normal(size=n)
 
-    def test_gbt_predictions_identical(self):
+    def _both(self, monkeypatch, fit, probe):
+        kernel = fit().predict(probe).tobytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(RegressionTree, "fit_binned", oracle.fit_binned)
+            reference = fit().predict(probe).tobytes()
+        return kernel, reference
+
+    def test_gbt_predictions_identical(self, monkeypatch):
         X, y = self._data(20)
         probe = np.random.default_rng(21).random((40, 6))
-        outs = {}
-        for path in available_fit_paths():
-            with use_fit_path(path):
-                model = GradientBoostedTrees(n_trees=12, random_state=1).fit(X, y)
-            outs[path] = model.predict(probe).tobytes()
-        assert len(set(outs.values())) == 1, sorted(outs)
+        kernel, reference = self._both(
+            monkeypatch,
+            lambda: GradientBoostedTrees(n_trees=12, random_state=1).fit(X, y),
+            probe,
+        )
+        assert kernel == reference
 
-    def test_random_forest_predictions_identical(self):
+    def test_random_forest_predictions_identical(self, monkeypatch):
         X, y = self._data(22)
         probe = np.random.default_rng(23).random((40, 6))
-        outs = {}
-        for path in available_fit_paths():
-            with use_fit_path(path):
-                model = RandomForest(n_trees=10, random_state=2).fit(X, y)
-            outs[path] = model.predict(probe).tobytes()
-        assert len(set(outs.values())) == 1, sorted(outs)
+        kernel, reference = self._both(
+            monkeypatch,
+            lambda: RandomForest(n_trees=10, random_state=2).fit(X, y),
+            probe,
+        )
+        assert kernel == reference
 
-    def test_hierarchical_model_predictions_identical(self):
+    def test_hierarchical_model_predictions_identical(self, monkeypatch):
         X, y = self._data(24, n=120)
         probe = np.random.default_rng(25).random((40, 6))
-        outs = {}
-        for path in available_fit_paths():
-            with use_fit_path(path):
-                model = HierarchicalModel(
-                    n_trees=10, target_accuracy=0.999, max_order=2,
-                    random_state=3,
-                ).fit(X, y)
-            outs[path] = model.predict(probe).tobytes()
-        assert len(set(outs.values())) == 1, sorted(outs)
+        kernel, reference = self._both(
+            monkeypatch,
+            lambda: HierarchicalModel(
+                n_trees=10, target_accuracy=0.999, max_order=2, random_state=3,
+            ).fit(X, y),
+            probe,
+        )
+        assert kernel == reference
 
 
 # ----------------------------------------------------------------------
@@ -291,11 +236,11 @@ class TestFitTelemetry:
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
-            observe_fit("numpy", "gbt", 0.25, trees=30, nodes=330)
+            observe_fit("gbt", 0.25, trees=30, nodes=330)
             snap = registry.snapshot()
-            assert snap.counters["model.fit.trees{model=gbt,path=numpy}"] == 30
-            assert snap.counters["model.fit.nodes{model=gbt,path=numpy}"] == 330
-            hist = snap.histograms["model.fit.seconds{model=gbt,path=numpy}"]
+            assert snap.counters["model.fit.trees{model=gbt}"] == 30
+            assert snap.counters["model.fit.nodes{model=gbt}"] == 330
+            hist = snap.histograms["model.fit.seconds{model=gbt}"]
             assert hist.count == 1
         finally:
             set_registry(previous)
@@ -305,15 +250,13 @@ class TestFitTelemetry:
         previous = set_registry(registry)
         try:
             rng = np.random.default_rng(30)
-            with use_fit_path("numpy"):
-                model = GradientBoostedTrees(n_trees=6, random_state=0).fit(
-                    rng.random((50, 4)), rng.normal(size=50)
-                )
+            model = GradientBoostedTrees(n_trees=6, random_state=0).fit(
+                rng.random((50, 4)), rng.normal(size=50)
+            )
             snap = registry.snapshot()
-            key = "model.fit.trees{model=gbt,path=numpy}"
-            assert snap.counters[key] == model.n_trees_fitted
+            assert snap.counters["model.fit.trees{model=gbt}"] == model.n_trees_fitted
             nodes = sum(len(t._nodes) for t in model._trees)
-            assert snap.counters["model.fit.nodes{model=gbt,path=numpy}"] == nodes
+            assert snap.counters["model.fit.nodes{model=gbt}"] == nodes
         finally:
             set_registry(previous)
 
@@ -322,13 +265,12 @@ class TestFitTelemetry:
         previous = set_registry(registry)
         try:
             rng = np.random.default_rng(31)
-            with use_fit_path("numpy"):
-                HierarchicalModel(
-                    n_trees=6, target_accuracy=0.5, max_order=1, random_state=0
-                ).fit(rng.random((60, 4)), rng.normal(size=60))
+            HierarchicalModel(
+                n_trees=6, target_accuracy=0.5, max_order=1, random_state=0
+            ).fit(rng.random((60, 4)), rng.normal(size=60))
             snap = registry.snapshot()
             keys = [k for k in snap.histograms if k.startswith("model.fit.seconds")]
-            assert any("model=hm" in k for k in keys), keys
+            assert "model.fit.seconds{model=hm}" in keys, keys
         finally:
             set_registry(previous)
 

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event scheduler and analytic-model validation."""
+"""Tests for the discrete-event oracle and analytic-model validation."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,9 @@ from repro.common.rng import derive_rng
 from repro.sparksim.cluster import PAPER_CLUSTER
 from repro.sparksim.config import SparkConf
 from repro.sparksim.confspace import SPARK_CONF_SPACE
-from repro.sparksim.eventsim import (
-    draw_task_times,
-    expected_makespan,
-    simulate_replications,
-    simulate_stage,
-    simulate_stage_reference,
-)
 from repro.sparksim.scheduler import WaveScheduler
 from repro.sparksim.task import TaskProfile
+from tests.oracles.eventsim import draw_task_times, expected_makespan, simulate_stage
 
 
 def conf(**overrides):
@@ -104,86 +98,6 @@ class TestSimulateStage:
     def test_expected_makespan_validates_input(self):
         with pytest.raises(ValueError):
             expected_makespan(profile(), conf(), derive_rng("e6"), replications=0)
-
-
-SPECULATIVE_CONF = {
-    "spark.speculation": True,
-    "spark.speculation.quantile": 0.5,
-    "spark.speculation.multiplier": 1.1,
-}
-
-
-class TestVectorizedEquivalence:
-    """The vectorized paths must reproduce the reference loops."""
-
-    @pytest.mark.parametrize("num_tasks", [2, 13, 77, 300])
-    def test_simulate_stage_matches_reference_bitwise(self, num_tasks):
-        """Same timeline, same copy decisions, same RNG consumption."""
-        p = profile(num_tasks=num_tasks, skew=1.0)
-        c = conf(**SPECULATIVE_CONF)
-        rng_a = derive_rng("vec", num_tasks)
-        rng_b = derive_rng("vec", num_tasks)
-        a = simulate_stage(p, c, rng_a)
-        b = simulate_stage_reference(p, c, rng_b)
-        assert a.makespan == b.makespan
-        assert a.events == b.events
-        assert a.speculative_copies == b.speculative_copies
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-    def test_simulate_stage_matches_reference_without_speculation(self):
-        p = profile(num_tasks=120)
-        c = conf(**{"spark.speculation": False})
-        a = simulate_stage(p, c, derive_rng("vp"))
-        b = simulate_stage_reference(p, c, derive_rng("vp"))
-        assert a.events == b.events and a.makespan == b.makespan
-
-    def test_batch_replications_match_sequential_loop_bitwise(self):
-        """Given the same duration matrix and one shared RNG, the batched
-        simulator equals a loop of single-stage simulations exactly —
-        argmin placement pops the same slot-free minima as the heap, and
-        speculation draws run in the same replication-major order."""
-        p = profile(num_tasks=90, skew=1.0)
-        c = conf(**SPECULATIVE_CONF)
-        reps = 16
-        times = np.stack(
-            [draw_task_times(p, derive_rng("bt", r)) for r in range(reps)]
-        )
-        rng_batch = derive_rng("bloop")
-        rng_loop = derive_rng("bloop")
-        batch = simulate_replications(p, c, rng_batch, reps, task_times=times)
-        loop = np.array([
-            simulate_stage(p, c, rng_loop, task_times=times[r]).makespan
-            for r in range(reps)
-        ])
-        assert np.array_equal(batch, loop)
-        assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
-
-    def test_batch_replications_broadcast_single_vector(self):
-        p = profile(num_tasks=40)
-        c = conf(**{"spark.speculation": False})
-        times = draw_task_times(p, derive_rng("bc"))
-        batch = simulate_replications(p, c, derive_rng("z"), 5, task_times=times)
-        single = simulate_stage(p, c, derive_rng("z2"), task_times=times).makespan
-        assert np.all(batch == single)
-
-    def test_batch_replications_validates_input(self):
-        with pytest.raises(ValueError):
-            simulate_replications(profile(), conf(), derive_rng("bv"), 0)
-        with pytest.raises(ValueError):
-            simulate_replications(
-                profile(num_tasks=4), conf(), derive_rng("bv"), 3,
-                task_times=np.zeros((2, 4)),
-            )
-
-    def test_expected_makespan_batch_agrees_with_loop(self):
-        """The batched estimator draws durations in one block instead of
-        interleaved with speculation draws, so it is a *statistical*
-        twin of the loop — pin the agreement to a tight tolerance."""
-        p = profile(num_tasks=150, skew=0.6)
-        c = conf(**SPECULATIVE_CONF)
-        batch = expected_makespan(p, c, derive_rng("agree"), 200, batch=True)
-        loop = expected_makespan(p, c, derive_rng("agree"), 200, batch=False)
-        assert batch == pytest.approx(loop, rel=0.05)
 
 
 class TestAnalyticModelValidation:
