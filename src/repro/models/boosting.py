@@ -130,6 +130,9 @@ class GradientBoostedTrees:
 
         residual = y_train - self._base
         val_pred = np.full(n_val, self._base)
+        # Training and validation rows routed through each tree at once.
+        routed_codes = np.concatenate([self._binner.codes, val_codes])
+        n_fit = len(residual)
         n_sub = max(2, int(round(len(X_train) * self.subsample)))
         best_error = np.inf
         stale = 0
@@ -144,9 +147,9 @@ class GradientBoostedTrees:
             tree.fit_binned(self._binner, residual, sample_indices=sample)
             self._trees.append(tree)
 
-            update = tree.predict_binned(self._binner.codes)
-            residual -= self.learning_rate * update
-            val_pred += self.learning_rate * tree.predict_binned(val_codes)
+            update = tree.predict_binned(routed_codes)
+            residual -= self.learning_rate * update[:n_fit]
+            val_pred += self.learning_rate * update[n_fit:]
 
             error = mean_relative_error(np.exp(val_pred), measured_val)
             self.validation_errors_.append(error)

@@ -8,12 +8,17 @@ generation.  This module lowers fitted trees into structure-of-arrays
 node tables so a batch prediction is a handful of vectorized gathers:
 
 * :class:`FlatTree` — one tree as parallel arrays (feature, bin
-  threshold, children, leaf value); prediction advances every sample
-  one level per iteration, so the Python-level loop runs ``depth``
-  times, never ``nodes × samples`` times.
+  threshold, children, leaf value).
 * :class:`FlatForest` — a whole ensemble stacked into one node table
-  with per-tree root offsets; one traversal moves *all samples × all
-  trees* a level at a time.
+  with per-tree root offsets, so one traversal moves *all samples ×
+  all trees* a level at a time.
+* One fixed-depth walk serves both.  It reads derived tables in which
+  a leaf is its own child (feature 0, threshold the int32 maximum), so
+  every position advances exactly ``max_depth`` levels of
+  ``pos = kids[2*pos + (code > threshold[pos])]`` — four flat ``intp``
+  gathers a level, no active masks — in row blocks of about 2^16
+  tree×row positions that bound the temporaries.  The tables are
+  derived from the stored arrays, never pickled or stored themselves.
 * :class:`MergedBinner` — the union of several
   :class:`~repro.models.tree.BinnedDataset` edge sets with exact
   per-component translation tables, so
@@ -21,11 +26,12 @@ node tables so a batch prediction is a handful of vectorized gathers:
   matrix **once** and re-derives every component's codes with one
   gather instead of re-running ``searchsorted`` per component.
 
-Every function here is **bit-for-bit** equal to the node-walk
-oracle in ``tests/oracles/tree.py``: the same leaf is reached through
-the same ``code <= bin_threshold`` comparisons, leaf values are
-gathered unchanged, and ensemble accumulation replays the
-reference's left-to-right float additions (:func:`accumulate`).  That
+Every function here is **bit-for-bit** equal to the oracles in
+``tests/oracles/tree.py``: the same leaf is reached through the same
+``code <= bin_threshold`` comparisons, leaf values are gathered
+unchanged, and ensemble accumulation replays the per-tree loop's
+left-to-right float additions with a sequential, in-place
+``np.add.accumulate`` (:func:`accumulate`).  That
 exactness is what lets checkpointed jobs from the node-walk era resume
 on this path with identical report fingerprints
 (:func:`repro.store.report_fingerprint`), proven by
@@ -73,18 +79,99 @@ def observe_predict(path: str, model: str, rows: int, seconds: float) -> None:
 def accumulate(base: float, scale: float, leaf_values: np.ndarray) -> np.ndarray:
     """Sum per-tree predictions exactly as the node-walk loop does.
 
-    The reference ensemble loop computes ``out += scale * tree_pred``
-    one tree at a time; float addition is not associative, so matching
-    it bit-for-bit requires replaying the same left-to-right order —
-    a loop of vectorized adds over the (already gathered) per-tree leaf
-    values, which costs microseconds next to the traversal it follows.
+    The oracle ensemble loop computes ``out += scale * tree_pred`` one
+    tree at a time; float addition is not associative, so matching it
+    bit-for-bit requires the same left-to-right order.
+    ``np.add.accumulate`` is sequential by definition
+    (``r[i] = r[i-1] + a[i]``), so folding ``base`` into the first
+    tree's row (addition is commutative) and accumulating down the tree
+    axis reproduces ``((base + t0) + t1) + ...`` exactly — in place, in
+    the scaled array the product already allocated.  ``np.add.reduce``
+    would not do: it may sum pairwise.  The last row is returned as a
+    copy: a view would keep the whole (trees, rows) array alive for as
+    long as callers hold the predictions.
     """
-    leaf_values = np.asarray(leaf_values, dtype=float)
-    out = np.full(leaf_values.shape[1], float(base))
-    scaled = scale * leaf_values
-    for row in scaled:
-        out += row
-    return out
+    scaled = scale * np.asarray(leaf_values, dtype=float)
+    if not len(scaled):
+        return np.full(scaled.shape[1], float(base))
+    scaled[0] += base
+    np.add.accumulate(scaled, axis=0, out=scaled)
+    return scaled[-1].copy()
+
+
+#: Tree×row positions advanced per walk block: large enough to amortize
+#: the per-level NumPy call overhead, small enough that the ``intp``
+#: temporaries of one level stay a few hundred KB.
+_WALK_BLOCK = 1 << 16
+
+#: A leaf's threshold in the walk tables: no bin code exceeds it, so a
+#: leaf always "goes left" — to itself.
+_LEAF_THRESHOLD = np.iinfo(np.int32).max
+
+#: A lone tree's root list.
+_TREE_ROOT = np.zeros(1, dtype=np.intp)
+
+
+class _WalkTables:
+    """Derived node tables for the fixed-depth walk.
+
+    A leaf's two children are itself, its feature is 0 and its
+    threshold is :data:`_LEAF_THRESHOLD`, so one more level leaves a
+    finished position where it is: every position can advance
+    ``depth`` levels with no active-mask bookkeeping.  Indices are
+    ``intp`` so gathers index with them directly, without a
+    per-level conversion.  Derived from the stored node arrays, never
+    persisted.
+    """
+
+    __slots__ = ("feature", "threshold", "kids", "depth")
+
+    def __init__(self, feature, threshold, children, roots):
+        feature = np.asarray(feature)
+        leaf = feature < 0
+        n = len(feature)
+        self.feature = np.where(leaf, 0, feature).astype(np.intp)
+        self.threshold = np.where(leaf, _LEAF_THRESHOLD, threshold).astype(np.int32)
+        kids = np.asarray(children, dtype=np.intp).reshape(n, 2).copy()
+        kids[leaf] = np.flatnonzero(leaf)[:, None]
+        self.kids = kids.reshape(-1)
+        # Max depth: advance the internal frontier level by level.
+        depth = 0
+        frontier = np.asarray(roots, dtype=np.intp)
+        while True:
+            frontier = frontier[~leaf[frontier]]
+            if not len(frontier):
+                break
+            frontier = self.kids.reshape(n, 2)[frontier].reshape(-1)
+            depth += 1
+        self.depth = depth
+
+    def walk(self, codes: np.ndarray, roots: np.ndarray, value: np.ndarray) -> np.ndarray:
+        """(len(roots), n_samples) leaf values reached from ``roots``.
+
+        Each level is ``pos = kids[2*pos + (code > threshold[pos])]``
+        with ``code`` gathered from the raveled code matrix, so a level
+        costs four flat gathers and no masks.  Rows are walked in blocks
+        of about :data:`_WALK_BLOCK` positions, which bounds the
+        temporaries whatever the forest or batch size.
+        """
+        codes = np.ascontiguousarray(codes)
+        n, n_features = codes.shape
+        flat_codes = codes.reshape(-1)
+        roots = np.asarray(roots, dtype=np.intp)
+        out = np.empty((len(roots), n), dtype=value.dtype)
+        if not len(roots) or not n:
+            return out
+        step = max(1, _WALK_BLOCK // len(roots))
+        for start in range(0, n, step):
+            stop = min(n, start + step)
+            row_base = np.arange(start, stop, dtype=np.intp) * n_features
+            pos = np.repeat(roots[:, None], stop - start, axis=1)
+            for _ in range(self.depth):
+                code = flat_codes[row_base + self.feature[pos]]
+                pos = self.kids[2 * pos + (code > self.threshold[pos])]
+            out[:, start:stop] = value[pos]
+        return out
 
 
 class FlatTree:
@@ -136,20 +223,14 @@ class FlatTree:
         return len(self.feature)
 
     def predict(self, codes: np.ndarray) -> np.ndarray:
-        """Leaf values for pre-binned ``codes`` (n_samples, n_features)."""
-        codes = np.asarray(codes)
-        n = len(codes)
-        pos = np.zeros(n, dtype=np.int32)
-        rows = np.arange(n)
-        while True:
-            feat = self.feature[pos]
-            active = feat >= 0
-            if not active.any():
-                break
-            code = codes[rows, np.where(active, feat, 0)]
-            step = self.children[2 * pos + (code > self.threshold[pos])]
-            pos = np.where(active, step, pos)
-        return self.value[pos]
+        """Leaf values for pre-binned ``codes`` (n_samples, n_features).
+
+        The walk tables are rebuilt per call rather than cached: a
+        boosted tree is predicted once, on its training and validation
+        rows, and thousands of cached tables would only hold memory.
+        """
+        tables = _WalkTables(self.feature, self.threshold, self.children, _TREE_ROOT)
+        return tables.walk(codes, _TREE_ROOT, self.value)[0]
 
     def __getstate__(self):
         # ``children`` is derived; rebuild it on load.
@@ -169,7 +250,7 @@ class FlatForest:
     matter how many trees or samples are in flight.
     """
 
-    __slots__ = ("feature", "threshold", "children", "value", "roots")
+    __slots__ = ("feature", "threshold", "children", "value", "roots", "_walk")
 
     def __init__(
         self,
@@ -184,6 +265,7 @@ class FlatForest:
         self.children = children
         self.value = value
         self.roots = roots
+        self._walk = None
 
     @classmethod
     def from_trees(cls, trees: Sequence[object]) -> "FlatForest":
@@ -218,20 +300,12 @@ class FlatForest:
         ``n_trees`` restricts the traversal to the first trees — the
         boosting convergence curve re-predicts prefixes this way.
         """
-        codes = np.asarray(codes)
-        n = len(codes)
+        if self._walk is None:
+            self._walk = _WalkTables(
+                self.feature, self.threshold, self.children, self.roots
+            )
         roots = self.roots if n_trees is None else self.roots[:n_trees]
-        pos = np.broadcast_to(roots[:, None], (len(roots), n)).astype(np.int32)
-        rows = np.arange(n)[None, :]
-        while True:
-            feat = self.feature[pos]
-            active = feat >= 0
-            if not active.any():
-                break
-            code = codes[rows, np.where(active, feat, 0)]
-            step = self.children[2 * pos + (code > self.threshold[pos])]
-            pos = np.where(active, step, pos)
-        return self.value[pos]
+        return self._walk.walk(codes, roots, self.value)
 
     def to_sections(self, prefix: str = "") -> dict:
         """The node table as named arrays for the columnar blob format.
@@ -270,6 +344,7 @@ class FlatForest:
 
     def __setstate__(self, state):
         (self.feature, self.threshold, self.children, self.value, self.roots) = state
+        self._walk = None
 
 
 class MergedBinner:

@@ -162,6 +162,7 @@ class BinnedDataset:
         self.codes = codes
         self.n_bins = np.array([len(e) + 1 for e in self.edges], dtype=np.int64)
         self._code_cache: Dict[object, np.ndarray] = {}
+        self._flat_index: Optional[np.ndarray] = None
 
     @classmethod
     def shared(cls, X: np.ndarray, max_bins: int = DEFAULT_BINS) -> "BinnedDataset":
@@ -213,7 +214,24 @@ class BinnedDataset:
         self.codes = np.empty((0, self.n_features), dtype=np.uint8)
         self.n_bins = np.array([len(e) + 1 for e in self.edges], dtype=np.int64)
         self._code_cache = {}
+        self._flat_index = None
         return self
+
+    @property
+    def flat_index(self) -> np.ndarray:
+        """Per-cell histogram index ``code + feature * nb_max``, int64.
+
+        The split kernel's bincounts address cell ``(feature, bin)`` of
+        an ``(n_features, nb_max)`` histogram through this matrix; it is
+        built once on first use, so a node's histogram costs a row
+        gather instead of a gather, a widening copy and an add.
+        """
+        if self._flat_index is None:
+            nb_max = int(self.n_bins.max()) if self.n_features else 0
+            self._flat_index = self.codes.astype(np.int64) + (
+                np.arange(self.n_features, dtype=np.int64) * nb_max
+            )
+        return self._flat_index
 
     def bin_matrix(self, X: np.ndarray) -> np.ndarray:
         """Bin new samples with the training edges.
@@ -241,15 +259,17 @@ class BinnedDataset:
         return codes
 
     def __getstate__(self):
-        # The code cache is a per-process memo; never persist it.
+        # The code cache and flat index are per-process; never persist them.
         state = dict(self.__dict__)
         state["_code_cache"] = {}
+        state["_flat_index"] = None
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # Artifacts pickled before the cache existed lack the attribute.
+        # Artifacts pickled before these slots existed lack them.
         self.__dict__.setdefault("_code_cache", {})
+        self.__dict__.setdefault("_flat_index", None)
 
     def threshold(self, feature: int, bin_index: int) -> float:
         """Real-valued threshold for 'go left if code <= bin_index'."""
@@ -257,6 +277,12 @@ class BinnedDataset:
         if bin_index >= len(edges):
             return np.inf
         return float(edges[bin_index])
+
+
+def _mean(y: np.ndarray, idx: np.ndarray) -> float:
+    """``np.mean(y[idx])`` bit for bit: the same pairwise sum over the
+    same gather, divided by the count, without the wrapper's overhead."""
+    return float(y[idx].sum() / len(idx))
 
 
 @dataclass
@@ -361,7 +387,7 @@ class RegressionTree:
             self.split_features,
             features,
         )
-        self._nodes = [_Node(value=float(np.mean(y[idx])))]
+        self._nodes = [_Node(value=_mean(y, idx))]
         # Best-first frontier: (-gain, tiebreak, node_id, idx, split_info)
         frontier: list = []
         counter = itertools.count()
@@ -378,10 +404,14 @@ class RegressionTree:
             node.bin_threshold = int(bin_threshold)
             node.threshold = binner.threshold(int(feature), int(bin_threshold))
             node.left = len(self._nodes)
-            self._nodes.append(_Node(value=float(np.mean(y[left_idx]))))
+            self._nodes.append(_Node(value=_mean(y, left_idx)))
             node.right = len(self._nodes)
-            self._nodes.append(_Node(value=float(np.mean(y[right_idx]))))
+            self._nodes.append(_Node(value=_mean(y, right_idx)))
             splits_done += 1
+            if splits_done == self.tree_complexity:
+                # No later pop can use these children's splits.
+                evaluator.skip_pair(left_idx, right_idx)
+                break
 
             left_split, right_split = evaluator.evaluate_pair(
                 node_id, node.left, left_idx, node.right, right_idx

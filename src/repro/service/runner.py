@@ -28,6 +28,7 @@ direct evidence that resuming cost strictly less than starting over.
 
 from __future__ import annotations
 
+import itertools
 import time
 import traceback
 from contextlib import contextmanager
@@ -276,14 +277,20 @@ class JobRunner:
 
         vectors: List[PerformanceVector] = []
         batches_done = int(progress.get("batches_done", 0))
-        if batches_done:
-            partial = store.get_training_set(key)
-            expected = sum(len(b.requests) for b in batches[:batches_done])
-            if partial is not None and len(partial) == expected:
-                vectors = list(partial.vectors)
-            else:  # checkpoint missing or from different parameters
-                batches_done = 0
-                progress["batches_done"] = 0
+        # The artifact is written before the record's ``batches_done``,
+        # so a crash between the two leaves it one batch ahead: resume
+        # after whichever planned prefix (of at least ``batches_done``
+        # batches) it holds.
+        partial = store.get_training_set(key)
+        ends = list(itertools.accumulate(len(b.requests) for b in batches))
+        held = -1 if partial is None else len(partial)
+        if held in ends[max(batches_done - 1, 0) :]:
+            batches_done = ends.index(held) + 1
+            progress["batches_done"] = batches_done
+            vectors = list(partial.vectors)
+        elif batches_done:  # checkpoint missing or from different parameters
+            batches_done = 0
+            progress["batches_done"] = 0
 
         with tele.span(
             "collect",

@@ -1,10 +1,12 @@
-"""Tree oracles: per-feature split search and the node-walk predict.
+"""Tree oracles: per-feature split search, node walks, ensemble sums.
 
 ``fit_binned`` has the signature of :meth:`RegressionTree.fit_binned`,
 so a test can monkeypatch it onto the class and fit whole ensembles
 through the oracle.  The histogram kernel must grow byte-identical
 node tables and consume the tree's RNG identically; the flat predict
-layer must return byte-identical predictions to the walks below.
+layer must return byte-identical predictions to the walks below, and
+:func:`repro.models.flat.accumulate` must return byte-identical sums
+to the per-tree loop in :func:`accumulate`.
 """
 
 from __future__ import annotations
@@ -168,4 +170,36 @@ def predict_walk(model, X: np.ndarray) -> np.ndarray:
     out = np.full(len(codes), model._base)
     for tree in model._trees:
         out += model.learning_rate * predict_binned_walk(tree, codes)
+    return out
+
+
+def flat_leaf_values(forest, codes: np.ndarray, n_trees: Optional[int] = None) -> np.ndarray:
+    """Masked level-by-level walk of a :class:`FlatForest`'s node table.
+
+    Every position still on an internal node advances one level per
+    iteration until none is; needs only the stored sections, so it
+    also checks section-restored forests that carry no per-tree state.
+    """
+    codes = np.asarray(codes)
+    n = len(codes)
+    roots = forest.roots if n_trees is None else forest.roots[:n_trees]
+    pos = np.broadcast_to(roots[:, None], (len(roots), n)).astype(np.int32)
+    rows = np.arange(n)[None, :]
+    while True:
+        feat = forest.feature[pos]
+        active = feat >= 0
+        if not active.any():
+            break
+        code = codes[rows, np.where(active, feat, 0)]
+        step = forest.children[2 * pos + (code > forest.threshold[pos])]
+        pos = np.where(active, step, pos)
+    return forest.value[pos]
+
+
+def accumulate(base: float, scale: float, leaf_values: np.ndarray) -> np.ndarray:
+    """The per-tree ensemble loop: ``out += scale * tree_pred``, in order."""
+    leaf_values = np.asarray(leaf_values, dtype=float)
+    out = np.full(leaf_values.shape[1], float(base))
+    for row in scale * leaf_values:
+        out += row
     return out

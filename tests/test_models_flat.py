@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 from repro.core.ga import MemoizedFitness
 from repro.models.boosting import GradientBoostedTrees
-from repro.models.flat import FlatForest, FlatTree, MergedBinner
+from repro.models import flat as flat_module
+from repro.models.flat import FlatForest, FlatTree, MergedBinner, accumulate
 from repro.models.forest import RandomForest
 from repro.models.hierarchical import HierarchicalModel
 from repro.models.tree import BinnedDataset, RegressionTree, bin_with_edges
 from repro.telemetry.metrics import MetricsRegistry, set_registry
+from tests.oracles import tree as oracle
 from tests.oracles.tree import predict_binned_walk, predict_walk
 
 
@@ -264,6 +266,178 @@ class TestFlatForest:
                 tree.fit_path = "numpy"
         revived = pickle.loads(pickle.dumps(model))
         assert revived.predict(Q).tobytes() == expected
+
+
+# ----------------------------------------------------------------------
+# Fixed-depth walk: edge cases against the oracle walks
+# ----------------------------------------------------------------------
+def _tree(seed, tc, n=200, d=4, min_samples_leaf=1):
+    rng = np.random.default_rng(seed)
+    return RegressionTree(
+        tree_complexity=tc, min_samples_leaf=min_samples_leaf
+    ).fit(rng.random((n, d)), rng.normal(size=n))
+
+
+def _mixed_forest():
+    """A root-only tree, a stump and deeper trees on one binner's data."""
+    rng = np.random.default_rng(30)
+    X, y = rng.random((300, 4)), rng.normal(size=300)
+    binner = BinnedDataset(X)
+    trees = []
+    for tc, msl in ((1, 500), (1, 1), (4, 1), (40, 1), (2, 3)):
+        tree = RegressionTree(tree_complexity=tc, min_samples_leaf=msl)
+        trees.append(tree.fit_binned(binner, y))
+    assert trees[0].n_internal_nodes == 0  # root only
+    return binner, trees
+
+
+class TestFixedDepthWalk:
+    def test_root_only_tree(self):
+        tree = _tree(31, tc=1, n=20, min_samples_leaf=50)
+        assert len(tree._nodes) == 1
+        codes = tree._binner.bin_matrix(np.random.default_rng(32).random((9, 4)))
+        flat = tree.flatten()
+        assert flat.predict(codes).tobytes() == \
+            predict_binned_walk(tree, codes).tobytes()
+        forest = FlatForest.from_trees([tree])
+        assert forest.leaf_values(codes).tobytes() == \
+            oracle.flat_leaf_values(forest, codes).tobytes()
+        assert forest._walk.depth == 0
+
+    def test_stumps(self):
+        for seed in range(5):
+            tree = _tree(40 + seed, tc=1)
+            codes = tree._binner.bin_matrix(
+                np.random.default_rng(seed).random((33, 4))
+            )
+            assert tree.flatten().predict(codes).tobytes() == \
+                predict_binned_walk(tree, codes).tobytes()
+            forest = FlatForest.from_trees([tree])
+            forest.leaf_values(codes)
+            assert forest._walk.depth == 1
+
+    def test_mixed_depth_forest(self):
+        binner, trees = _mixed_forest()
+        forest = FlatForest.from_trees(trees)
+        codes = binner.bin_matrix(np.random.default_rng(33).random((57, 4)))
+        leaves = forest.leaf_values(codes)
+        assert leaves.tobytes() == oracle.flat_leaf_values(forest, codes).tobytes()
+        for t, tree in enumerate(trees):
+            assert leaves[t].tobytes() == predict_binned_walk(tree, codes).tobytes()
+
+    def test_tree_prefixes(self):
+        binner, trees = _mixed_forest()
+        forest = FlatForest.from_trees(trees)
+        codes = binner.bin_matrix(np.random.default_rng(34).random((21, 4)))
+        for n_trees in range(len(trees) + 1):
+            got = forest.leaf_values(codes, n_trees=n_trees)
+            assert got.shape == (n_trees, 21)
+            assert got.tobytes() == \
+                oracle.flat_leaf_values(forest, codes, n_trees).tobytes()
+
+    def test_zero_rows(self):
+        binner, trees = _mixed_forest()
+        forest = FlatForest.from_trees(trees)
+        empty = np.empty((0, 4), dtype=np.uint8)
+        assert forest.leaf_values(empty).shape == (len(trees), 0)
+        assert trees[3].predict_binned(empty).shape == (0,)
+
+    def test_rows_span_several_blocks(self, monkeypatch):
+        binner, trees = _mixed_forest()
+        forest = FlatForest.from_trees(trees)
+        rng = np.random.default_rng(35)
+        # More tree x row positions than one block holds...
+        codes = binner.bin_matrix(
+            rng.random((flat_module._WALK_BLOCK // len(trees) * 2 + 7, 4))
+        )
+        reference = oracle.flat_leaf_values(forest, codes)
+        assert forest.leaf_values(codes).tobytes() == reference.tobytes()
+        # ...and tiny blocks with a ragged last one.
+        monkeypatch.setattr(flat_module, "_WALK_BLOCK", 3 * len(trees))
+        small = codes[:100]
+        assert forest.leaf_values(small).tobytes() == reference[:, :100].tobytes()
+        assert trees[3].predict_binned(small).tobytes() == \
+            predict_binned_walk(trees[3], small).tobytes()
+
+    def test_read_only_memmap_sections(self, tmp_path):
+        binner, trees = _mixed_forest()
+        forest = FlatForest.from_trees(trees)
+        sections = {}
+        for name, array in forest.to_sections().items():
+            np.save(tmp_path / f"{name}.npy", array)
+            sections[name] = np.load(tmp_path / f"{name}.npy", mmap_mode="r")
+            assert not sections[name].flags.writeable
+        restored = FlatForest.from_sections(sections)
+        codes = binner.bin_matrix(np.random.default_rng(36).random((40, 4)))
+        assert restored.leaf_values(codes).tobytes() == \
+            oracle.flat_leaf_values(forest, codes).tobytes()
+        # The walk tables are derived, not stored: sections are unchanged.
+        assert set(restored.to_sections()) == set(forest.to_sections())
+
+    def test_pickle_excludes_walk_tables(self):
+        binner, trees = _mixed_forest()
+        forest = FlatForest.from_trees(trees)
+        fresh = pickle.dumps(forest)
+        codes = binner.bin_matrix(np.random.default_rng(37).random((12, 4)))
+        expected = forest.leaf_values(codes)
+        assert forest._walk is not None
+        assert pickle.dumps(forest) == fresh
+        clone = pickle.loads(fresh)
+        assert clone._walk is None
+        assert clone.leaf_values(codes).tobytes() == expected.tobytes()
+
+
+
+# ----------------------------------------------------------------------
+# Ensemble accumulation == the per-tree loop
+# ----------------------------------------------------------------------
+class TestAccumulate:
+    @pytest.mark.parametrize(
+        "n_trees, n_rows",
+        [(0, 5), (0, 1), (1, 1), (600, 1), (3, 2000), (1500, 40)],
+        ids=["zero-trees", "zero-trees-one-row", "one-tree-one-row",
+             "single-row", "wide", "tall"],
+    )
+    def test_bytes_equal_oracle_loop(self, n_trees, n_rows):
+        rng = np.random.default_rng(n_trees * 7 + n_rows)
+        # Mixed magnitudes make float addition order visible.
+        leaf_values = rng.normal(size=(n_trees, n_rows)) * np.exp(
+            rng.uniform(-20, 20, size=(n_trees, 1))
+        )
+        for base, scale in ((0.0, 1.0), (3.7, 0.05), (-1e6, 0.3)):
+            got = accumulate(base, scale, leaf_values)
+            want = oracle.accumulate(base, scale, leaf_values)
+            assert got.shape == (n_rows,)
+            assert got.tobytes() == want.tobytes()
+
+    def test_single_row_is_sequential_not_pairwise(self):
+        """With one row a pairwise reduction would reorder the sum."""
+        rng = np.random.default_rng(38)
+        mismatched_by_reduce = 0
+        for _ in range(50):
+            leaf_values = rng.normal(size=(300, 1)) * np.exp(
+                rng.uniform(-15, 15, size=(300, 1))
+            )
+            want = oracle.accumulate(1.5, 0.05, leaf_values)
+            assert accumulate(1.5, 0.05, leaf_values).tobytes() == want.tobytes()
+            scaled = 0.05 * leaf_values
+            scaled[0] += 1.5
+            mismatched_by_reduce += (
+                np.add.reduce(scaled, axis=0).tobytes() != want.tobytes()
+            )
+        assert mismatched_by_reduce  # the check can tell the two apart
+
+    def test_leaves_its_input_untouched(self):
+        leaf_values = np.random.default_rng(39).normal(size=(4, 6))
+        before = leaf_values.copy()
+        accumulate(2.0, 1.0, leaf_values)
+        assert np.array_equal(leaf_values, before)
+
+    def test_result_does_not_pin_the_tree_matrix(self):
+        """Callers keep predictions (HM stacking, fitness memos); a view
+        of the last row would keep every tree's row alive with it."""
+        leaf_values = np.random.default_rng(40).normal(size=(300, 8))
+        assert accumulate(2.0, 0.5, leaf_values).base is None
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,8 @@ bit-stable.  These tests pin that contract on adversarial inputs, plus
 the shared binner cache and the ``model.fit.*`` telemetry.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,56 @@ class TestSplitEquivalence:
             n.feature in (4, 1, 5) for n in knl._nodes if not n.is_leaf
         )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_gain_disqualifies_its_feature(self):
+        """Feature 0 meets both +1e308 rows, then a bin holding both
+        -1e308 rows: its prefix sum runs inf, then inf - inf = NaN.  The
+        reference drops that feature even though its first bin scores
+        an inf gain, and splits on feature 1 instead."""
+        big = 1e308
+        y = np.array([big, -big, big, -big, 1.0, 2.0, 3.0, 4.0])
+        X = np.column_stack([
+            [0.0, 0.2, 0.1, 0.2, 0.4, 0.5, 0.6, 0.7],
+            [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7],
+        ])
+        ref, knl = fit_oracle_and_kernel(
+            X, y, tree_complexity=2, min_samples_leaf=1
+        )
+        assert node_table(ref) == node_table(knl)
+        assert knl._nodes[0].feature == 1
+
+    def test_mtry_with_binding_tree_complexity(self, monkeypatch):
+        """When ``tree_complexity`` cuts growth short, the last split's
+        children are never scored — yet their mtry draws are still
+        consumed, so node tables and the RNG state match the oracle."""
+        from repro.models.histkernel import FrontierEvaluator
+
+        rng = np.random.default_rng(9)
+        X = rng.random((300, 8))
+        y = rng.normal(size=300)
+        pairs = []
+        scored = FrontierEvaluator.evaluate_pair
+        monkeypatch.setattr(
+            FrontierEvaluator,
+            "evaluate_pair",
+            lambda self, *args: pairs.append(args) or scored(self, *args),
+        )
+        for tc in (1, 2, 4, 7):
+            kwargs = dict(
+                tree_complexity=tc, min_samples_leaf=2, split_features=3,
+                random_state=tc,
+            )
+            pairs.clear()
+            ref, knl = fit_oracle_and_kernel(X, y, **kwargs)
+            assert knl.n_internal_nodes == tc  # the budget binds
+            assert node_table(ref) == node_table(knl)
+            assert ref._rng.bit_generator.state == knl._rng.bit_generator.state
+            assert len(pairs) == tc - 1  # the final pair is skipped
+        # Without the skipped pair's draws the stream would diverge.
+        monkeypatch.setattr(FrontierEvaluator, "skip_pair", lambda *args: None)
+        _, lazy = fit_oracle_and_kernel(X, y, **kwargs)
+        assert ref._rng.bit_generator.state != lazy._rng.bit_generator.state
+
 
 # ----------------------------------------------------------------------
 # Shared binner cache
@@ -169,6 +221,20 @@ class TestSharedBinners:
         first = GradientBoostedTrees(n_trees=4, random_state=0).fit(X, y)
         second = GradientBoostedTrees(n_trees=4, random_state=0).fit(X, y)
         assert second._binner is first._binner
+
+    def test_flat_index_not_pickled(self):
+        rng = np.random.default_rng(31)
+        binner = BinnedDataset(rng.random((60, 5)), max_bins=16)
+        flat_index = binner.flat_index
+        assert binner.flat_index is flat_index  # built once
+        nb_max = int(binner.n_bins.max())
+        assert np.array_equal(
+            flat_index, binner.codes.astype(np.int64) + np.arange(5) * nb_max
+        )
+        clone = pickle.loads(pickle.dumps(binner))
+        assert clone._flat_index is None
+        assert clone._code_cache == {}
+        assert np.array_equal(clone.flat_index, flat_index)
 
     def test_clear_empties_the_cache(self):
         BinnedDataset.shared(np.random.default_rng(5).random((30, 3)))

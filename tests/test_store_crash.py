@@ -177,3 +177,54 @@ def test_sigkill_mid_job_resume_matches_uninterrupted(tmp_path):
     names = {r.get("name") for r in events.records}
     assert "collect.size" in names
     assert "ga.generation" in names
+
+
+def test_resume_after_kill_between_artifact_and_record_writes(tmp_path):
+    """The collect checkpoint writes the partial training set, then the
+    record's ``batches_done``.  A kill between the two leaves a
+    two-batch artifact behind a one-batch record; resuming must keep
+    both collected batches instead of re-collecting from batch 0."""
+    from repro.core.collecting import Collector, TrainingSet
+    from repro.engine import InProcessBackend
+
+    root = tmp_path / "store"
+    service = JobService(root, use_cache=False)
+    record = service.submit(TuneRequest(**REQUEST))
+
+    # Session 1, as the kill left it: two batches on disk, one recorded.
+    collector = Collector(
+        get_workload(REQUEST["program"]), seed=REQUEST["seed"],
+        engine=InProcessBackend(),
+    )
+    batches = collector.plan(REQUEST["n_train"], stream="train")
+    vectors = collector.run_batch(batches[0]) + collector.run_batch(batches[1])
+    collected = len(vectors)
+    assert collected == 20
+    store = RunStore(root)
+    store.put_training_set(
+        record.artifact_key("training"), TrainingSet(collector.space, vectors)
+    )
+    record.state = "running"
+    record.sessions = 1
+    record.runs_by_session = {"1": collected}
+    record.progress = {
+        "collect": {"batches_done": 1, "total_batches": len(batches)}
+    }
+    store.save_job(record.job_id, record.to_dict())
+
+    resumed = JobService(root, use_cache=False).resume(record.job_id)
+    assert resumed.state == DONE
+    assert resumed.runs_by_session["2"] == REQUEST["n_train"] - collected
+
+    tuner = DacTuner(
+        get_workload("TS"),
+        n_train=REQUEST["n_train"],
+        n_trees=REQUEST["n_trees"],
+        seed=REQUEST["seed"],
+    )
+    tuner.collect()
+    tuner.fit()
+    reference = tuner.tune(
+        REQUEST["size"], generations=REQUEST["generations"], patience=None
+    )
+    assert resumed.result["fingerprint"] == report_fingerprint(reference)
