@@ -77,17 +77,30 @@ class PerformanceVector:
 # which reconstructs the exact Configuration (small integers and choice
 # indices are exact in float64).
 # ----------------------------------------------------------------------
-def raw_value(param, value) -> float:
-    """One parameter value as its exact float64 column representation."""
+def raw_columns(
+    space: ConfigurationSpace, configs: Sequence[Configuration]
+) -> np.ndarray:
+    """The ``(len(configs), n_params)`` raw-value matrix of ``configs``.
+
+    Converts one parameter column at a time: categoricals through a
+    choice -> index table, numeric values by numpy's float64 cast,
+    which rounds exactly like ``float()``.
+    """
     from repro.common.space import CategoricalParameter
 
-    if isinstance(param, CategoricalParameter):
-        return float(param.choices.index(value))
-    return float(value)
+    out = np.empty((len(configs), len(space.parameters)))
+    for j, param in enumerate(space.parameters):
+        column = [config[param.name] for config in configs]
+        if isinstance(param, CategoricalParameter):
+            index = {choice: i for i, choice in enumerate(param.choices)}
+            column = [index[value] for value in column]
+        out[:, j] = column
+    return out
 
 
 def value_from_raw(param, raw: float):
-    """Inverse of :func:`raw_value`."""
+    """One raw column value back to the parameter's value (the inverse
+    of :func:`raw_columns`, cell by cell)."""
     from repro.common.space import CategoricalParameter, IntParameter
 
     if isinstance(param, CategoricalParameter):
@@ -200,6 +213,29 @@ class TrainingSet:
         self._times = seconds
         return self
 
+    @classmethod
+    def from_matrix(
+        cls, space: ConfigurationSpace, matrix: np.ndarray
+    ) -> "TrainingSet":
+        """Build from the collector's ``(n, 3 + n_params)`` row matrix
+        (seconds, datasize, datasize_bytes, raw parameter values)."""
+        return cls.from_columns(
+            space,
+            {
+                "seconds": matrix[:, 0],
+                "datasize": matrix[:, 1],
+                "datasize_bytes": matrix[:, 2],
+                "values": matrix[:, 3:],
+            },
+        )
+
+    def to_matrix(self) -> np.ndarray:
+        """Inverse of :meth:`from_matrix` (a fresh array)."""
+        cols = self.to_columns()
+        return np.column_stack(
+            [cols["seconds"], cols["datasize"], cols["datasize_bytes"], cols["values"]]
+        )
+
     @property
     def vectors(self) -> Tuple[PerformanceVector, ...]:
         """Row objects, materialized from columns on first access."""
@@ -291,12 +327,9 @@ class TrainingSet:
         if self._columns is not None:
             cols = dict(self._columns)
         else:
-            params = self.space.parameters
-            values = np.empty((self._n, len(params)))
-            for i, v in enumerate(self.vectors):
-                config = v.configuration
-                for j, p in enumerate(params):
-                    values[i, j] = raw_value(p, config[p.name])
+            values = raw_columns(
+                self.space, [v.configuration for v in self.vectors]
+            )
             cols = {
                 "seconds": np.array([v.seconds for v in self.vectors]),
                 "datasize": np.array([v.datasize for v in self.vectors]),
@@ -408,15 +441,7 @@ class Collector:
         except BaseException:
             builder.close()
             raise
-        return TrainingSet.from_columns(
-            self.space,
-            {
-                "seconds": matrix[:, 0],
-                "datasize": matrix[:, 1],
-                "datasize_bytes": matrix[:, 2],
-                "values": matrix[:, 3:],
-            },
-        )
+        return TrainingSet.from_matrix(self.space, matrix)
 
     def plan(self, total_examples: int, stream: str = "train") -> List[CollectBatch]:
         """Draw the full batch plan for a collection, without executing.
@@ -480,15 +505,13 @@ class Collector:
             if progress is not None:
                 progress(done + len(vectors), total or done + len(vectors))
         if sink is not None:
-            params = self.space.parameters
-            rows = np.empty((len(vectors), 3 + len(params)))
-            for i, v in enumerate(vectors):
-                rows[i, 0] = v.seconds
-                rows[i, 1] = v.datasize
-                rows[i, 2] = v.datasize_bytes
-                config = v.configuration
-                for j, p in enumerate(params):
-                    rows[i, 3 + j] = raw_value(p, config[p.name])
+            rows = np.empty((len(vectors), 3 + len(self.space.parameters)))
+            rows[:, 0] = [run.seconds for run in runs]
+            rows[:, 1] = batch.size
+            rows[:, 2] = batch.datasize_bytes
+            rows[:, 3:] = raw_columns(
+                self.space, [request.config for request in batch.requests]
+            )
             sink.append(rows)
         tele.event(
             "collect.size",

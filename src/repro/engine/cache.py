@@ -13,14 +13,33 @@ encoding, which clips out-of-range defaults) plus the job's full stage
 list, so distinct programs or distinct job compilations never alias.
 Failures are never cached: a :class:`FailedRun` is returned to the
 caller but the next identical request goes back to the substrate.
+
+On disk, the misses of one :meth:`CachedBackend.submit` call land in
+one *pack*, and one line of an append-only index names its keys::
+
+    <directory>/
+      index.jsonl     one line per pack: {"pack": "<name>", "keys": [...]}
+      <hex>.pack      blobfmt container (kind "cache_pack"): the batch's
+                      RunResults as columns, no pickle
+      <key>.pkl       legacy per-key entry (read, never written)
+
+The pack lands first (temp file + atomic rename), its index line second,
+so a crash between the two leaves an unreferenced pack that no reader
+sees.  Index lines are appended with one ``O_APPEND`` write and start
+with a newline, so a torn line (a writer killed mid-append) is always
+terminated by the next writer's line and skipped as unparsable.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import pickle
 import time
+import uuid
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -29,38 +48,173 @@ import numpy as np
 from repro.engine.backends import ExecutionBackend
 from repro.engine.request import ExecOutcome, ExecRequest, ExecResult
 from repro.engine.stats import EngineStats
-from repro.sparksim.simulator import RunResult
+from repro.sparksim.simulator import RunResult, StageResult
 from repro.store import blobfmt
 from repro.telemetry.metrics import get_registry
 
 #: First bytes of legacy on-disk cache entries (plain tagged pickle).
-#: Still readable; new entries are written as checksummed
-#: :mod:`repro.store.blobfmt` containers instead, so a torn or corrupt
-#: entry is detected by digest rather than by pickle happening to blow
-#: up.  Anything that is neither format reads as a miss and is evicted.
+#: Still readable, like the blob-wrapped per-key entries that followed
+#: them; new results are written to packs instead.  A per-key file
+#: that is neither format reads as a miss and is evicted.
 CACHE_FORMAT = b"repro-cache/1\n"
 
-#: ``kind`` tag of blob-container cache entries.
+#: ``kind`` tag of legacy blob-container per-key entries.
 _CACHE_BLOB_KIND = "cache_entry"
+
+#: ``kind`` tag and layout version of a pack.
+_PACK_KIND = "cache_pack"
+_PACK_VERSION = 1
+
+#: The append-only key -> pack index inside a cache directory.
+INDEX_NAME = "index.jsonl"
+
+#: StageResult columns by stored type; ``name`` goes to a string table.
+_STAGE_FIELDS = tuple(f.name for f in fields(StageResult))
+_STAGE_INTS = ("num_tasks", "iterations")
+_STAGE_FLOATS = tuple(
+    name for name in _STAGE_FIELDS if name != "name" and name not in _STAGE_INTS
+)
+
+
+# ----------------------------------------------------------------------
+# Keys
+# ----------------------------------------------------------------------
+def _job_digest(job, substrate_signature: str):
+    """BLAKE2b state after the key's job part (everything but the config)."""
+    digest = hashlib.blake2b(digest_size=16)
+    for part in (
+        substrate_signature,
+        job.program,
+        repr(job.datasize_bytes),
+        repr(job.stages),
+    ):
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\x1f")
+    return digest
+
+
+def _finish_key(job_digest, config) -> str:
+    digest = job_digest.copy()
+    values = config.as_dict()
+    digest.update(
+        "".join(
+            [f"{name}\x1f{values[name]!r}\x1f" for name in config.space.names]
+        ).encode("utf-8")
+    )
+    return digest.hexdigest()
 
 
 def request_key(request: ExecRequest, substrate_signature: str) -> str:
     """Canonical cache key of a (substrate, program, config, datasize) tuple."""
-    digest = hashlib.blake2b(digest_size=16)
-    parts = [
-        substrate_signature,
-        request.job.program,
-        repr(request.job.datasize_bytes),
-        repr(request.job.stages),
-    ]
-    config = request.config
-    for name in config.space.names:
-        parts.append(name)
-        parts.append(repr(config[name]))
-    for part in parts:
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x1f")
-    return digest.hexdigest()
+    return _finish_key(_job_digest(request.job, substrate_signature), request.config)
+
+
+def request_keys(
+    requests: Sequence[ExecRequest], substrate_signature: str
+) -> List[str]:
+    """:func:`request_key` of every request, hashing each job part once.
+
+    Jobs are told apart by ``id()`` only within this call, while
+    ``requests`` keeps them alive; ids are reused after garbage
+    collection, so the memo never outlives the call.
+    """
+    job_digests: Dict[int, object] = {}
+    keys = []
+    for request in requests:
+        digest = job_digests.get(id(request.job))
+        if digest is None:
+            digest = _job_digest(request.job, substrate_signature)
+            job_digests[id(request.job)] = digest
+        keys.append(_finish_key(digest, request.config))
+    return keys
+
+
+# ----------------------------------------------------------------------
+# Packs
+# ----------------------------------------------------------------------
+def encode_pack(keys: Sequence[str], runs: Sequence[RunResult]) -> bytes:
+    """One blob holding ``runs`` (stored under ``keys``) as columns.
+
+    Floats are float64 and counts int64, both exact for every value
+    the simulator produces; program and stage names are string tables
+    in the header.
+    """
+    stages = [stage for run in runs for stage in run.stages]
+    programs = sorted({run.program for run in runs})
+    names = sorted({stage.name for stage in stages})
+    program_ids = {program: i for i, program in enumerate(programs)}
+    name_ids = {name: i for i, name in enumerate(names)}
+    sections = {
+        "seconds": np.array([run.seconds for run in runs], dtype=np.float64),
+        "datasize_bytes": np.array(
+            [run.datasize_bytes for run in runs], dtype=np.float64
+        ),
+        "program": np.array([program_ids[run.program] for run in runs], dtype=np.int64),
+        "stage_count": np.array([len(run.stages) for run in runs], dtype=np.int64),
+        "stage_name": np.array([name_ids[s.name] for s in stages], dtype=np.int64),
+        # Field-major, so each field decodes as one contiguous column.
+        "stage_floats": np.array(
+            list(map(attrgetter(*_STAGE_FLOATS), stages)), dtype=np.float64
+        ).reshape(len(stages), len(_STAGE_FLOATS)).T,
+        "stage_ints": np.array(
+            list(map(attrgetter(*_STAGE_INTS), stages)), dtype=np.int64
+        ).reshape(len(stages), len(_STAGE_INTS)).T,
+    }
+    meta = {
+        "version": _PACK_VERSION,
+        "keys": list(keys),
+        "programs": programs,
+        "stage_names": names,
+    }
+    return blobfmt.encode_sections(sections, meta=meta, kind=_PACK_KIND)
+
+
+def decode_pack(blob: bytes) -> Dict[str, RunResult]:
+    """Inverse of :func:`encode_pack`.
+
+    Raises :class:`~repro.store.blobfmt.BlobError` on any malformed,
+    torn or corrupt input.
+    """
+    header, sections = blobfmt.decode_sections(blob, verify=True)
+    meta = header.get("meta")
+    if (
+        header.get("kind") != _PACK_KIND
+        or not isinstance(meta, dict)
+        or meta.get("version") != _PACK_VERSION
+    ):
+        raise blobfmt.BlobError("not a cache pack")
+    try:
+        keys = [str(key) for key in meta["keys"]]
+        programs = list(meta["programs"])
+        names = list(meta["stage_names"])
+        counts = sections["stage_count"].tolist()
+        if len(keys) != len(counts) or sum(counts) != len(sections["stage_name"]):
+            raise ValueError("run and stage columns disagree")
+        columns = {"name": [names[i] for i in sections["stage_name"].tolist()]}
+        columns.update(zip(_STAGE_FLOATS, sections["stage_floats"].tolist()))
+        columns.update(zip(_STAGE_INTS, sections["stage_ints"].tolist()))
+        run_columns = [
+            sections[name].tolist() for name in ("program", "datasize_bytes", "seconds")
+        ]
+        program_names = [programs[i] for i in run_columns[0]]
+        stages = [
+            StageResult(*row) for row in zip(*(columns[f] for f in _STAGE_FIELDS))
+        ]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise blobfmt.BlobError(f"malformed cache pack ({exc})") from exc
+    runs: Dict[str, RunResult] = {}
+    start = 0
+    for key, program, size, seconds, count in zip(
+        keys, program_names, run_columns[1], run_columns[2], counts
+    ):
+        runs[key] = RunResult(
+            program=program,
+            datasize_bytes=size,
+            seconds=seconds,
+            stages=tuple(stages[start : start + count]),
+        )
+        start += count
+    return runs
 
 
 class CachedBackend(ExecutionBackend):
@@ -71,10 +225,11 @@ class CachedBackend(ExecutionBackend):
     inner:
         The backend that answers cache misses.
     directory:
-        Optional on-disk store (one pickle per key).  Sharing a
-        directory across processes/sessions is safe: writes go through
-        a same-directory temp file + atomic rename, and unreadable
-        entries are treated as misses.
+        Optional on-disk store: one pack per ``submit`` that missed,
+        listed in an append-only index (see the module docstring).
+        Sharing a directory across processes is safe: packs are
+        renamed into place whole, index lines are single appends, and
+        an unreadable index line, pack or entry only costs misses.
     """
 
     name = "cached"
@@ -93,6 +248,10 @@ class CachedBackend(ExecutionBackend):
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._memory: Dict[str, RunResult] = {}
+        #: key -> pack file name, as read from the index so far.
+        self._packs: Dict[str, str] = {}
+        self._index_offset = 0
+        self._index_fresh = False
         self._signature = inner.signature()
 
     # -- protocol -------------------------------------------------------
@@ -111,8 +270,10 @@ class CachedBackend(ExecutionBackend):
         registry = get_registry()
         outcomes: List[Optional[ExecOutcome]] = [None] * len(requests)
         misses: List[Tuple[int, str, ExecRequest]] = []
-        for i, request in enumerate(requests):
-            key = request_key(request, self._signature)
+        self._index_fresh = False  # the index is re-read at most once per call
+        for i, (request, key) in enumerate(
+            zip(requests, request_keys(requests, self._signature))
+        ):
             if registry.enabled:
                 lookup_start = time.perf_counter()
                 run = self._lookup(key)
@@ -134,11 +295,13 @@ class CachedBackend(ExecutionBackend):
 
         if misses:
             inner_outcomes = self.inner.submit([req for _, _, req in misses])
+            fresh: Dict[str, RunResult] = {}
             for (i, key, _), outcome in zip(misses, inner_outcomes):
                 if isinstance(outcome, ExecResult):
-                    self._store(key, outcome.run)
+                    fresh[key] = outcome.run
                 outcomes[i] = outcome
                 self._recorder.record_miss()
+            self._store(fresh)
 
         for outcome in outcomes:
             assert outcome is not None
@@ -159,16 +322,64 @@ class CachedBackend(ExecutionBackend):
         return len(self._memory)
 
     def clear_memory(self) -> None:
-        """Drop the in-memory layer (the disk layer, if any, survives)."""
+        """Drop every decoded run; the next lookup reads the disk layer."""
         self._memory.clear()
 
     # -- storage layers -------------------------------------------------
     def _lookup(self, key: str) -> Optional[RunResult]:
+        """Memory, then the index's pack, then a legacy per-key file."""
         run = self._memory.get(key)
-        if run is not None:
+        if run is not None or self.directory is None:
             return run
-        if self.directory is None:
-            return None
+        if key not in self._packs and not self._index_fresh:
+            self._read_index()
+        pack = self._packs.get(key)
+        if pack is not None:
+            self._load_pack(pack)
+            run = self._memory.get(key)
+            if run is not None:
+                return run
+        return self._load_legacy(key)
+
+    def _read_index(self) -> None:
+        """Fold index lines appended since the last read into ``_packs``."""
+        self._index_fresh = True
+        try:
+            with (self.directory / INDEX_NAME).open("rb") as handle:
+                if handle.seek(0, os.SEEK_END) < self._index_offset:
+                    self._index_offset = 0  # index replaced: read it afresh
+                handle.seek(self._index_offset)
+                tail = handle.read()
+        except OSError:  # no index yet
+            return
+        # A line without its newline is still being written (or torn):
+        # leave it for the next read.
+        complete = tail.rfind(b"\n") + 1
+        self._index_offset += complete
+        for line in tail[:complete].split(b"\n"):
+            if not line:
+                continue
+            try:
+                entry = json.loads(line)
+                pack, keys = entry["pack"], entry["keys"]
+            except (ValueError, TypeError, KeyError):
+                continue  # torn line
+            if isinstance(pack, str) and os.path.basename(pack) == pack:
+                self._packs.update(dict.fromkeys(map(str, keys), pack))
+
+    def _load_pack(self, name: str) -> None:
+        """Decode a whole pack into memory; a bad pack's keys miss."""
+        path = self.directory / name
+        try:
+            runs = decode_pack(path.read_bytes())
+        except (OSError, blobfmt.BlobError) as exc:  # absent, torn or corrupt
+            self._packs = {k: p for k, p in self._packs.items() if p != name}
+            if isinstance(exc, blobfmt.BlobError):
+                self._evict(path)
+            return
+        self._memory.update(runs)
+
+    def _load_legacy(self, key: str) -> Optional[RunResult]:
         path = self.directory / f"{key}.pkl"
         try:
             blob = path.read_bytes()
@@ -180,17 +391,17 @@ class CachedBackend(ExecutionBackend):
                 if header.get("kind") != _CACHE_BLOB_KIND:
                     raise blobfmt.BlobError("not a cache entry")
                 run = pickle.loads(sections["pickle"].tobytes())
-            except Exception:  # truncated/corrupt entry: miss + overwrite
+            except Exception:  # truncated/corrupt entry: miss + evict
                 self._evict(path)
                 return None
         elif blob.startswith(CACHE_FORMAT):  # legacy tagged-pickle entry
             try:
                 run = pickle.loads(blob[len(CACHE_FORMAT) :])
-            except Exception:  # truncated/corrupt entry: miss + overwrite
+            except Exception:  # truncated/corrupt entry: miss + evict
                 self._evict(path)
                 return None
         else:
-            self._evict(path)  # stale format or foreign file: rewrite it
+            self._evict(path)  # stale format or foreign file
             return None
         if not isinstance(run, RunResult):
             self._evict(path)
@@ -200,26 +411,35 @@ class CachedBackend(ExecutionBackend):
 
     @staticmethod
     def _evict(path: Path) -> None:
-        """Best-effort removal of a bad entry so the rewrite is clean."""
+        """Best-effort removal of a bad entry or pack."""
         try:
             path.unlink(missing_ok=True)
         except OSError:
             pass
 
-    def _store(self, key: str, run: RunResult) -> None:
-        self._memory[key] = run
-        if self.directory is None:
+    def _store(self, runs: Dict[str, RunResult]) -> None:
+        """Keep ``runs`` in memory and write them to disk as one pack."""
+        self._memory.update(runs)
+        if self.directory is None or not runs:
             return
-        path = self.directory / f"{key}.pkl"
-        tmp = self.directory / f".{key}.{os.getpid()}.tmp"
-        pickled = pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = blobfmt.encode_sections(
-            {"pickle": np.frombuffer(pickled, dtype=np.uint8)},
-            kind=_CACHE_BLOB_KIND,
-        )
+        keys = list(runs)
+        name = f"{uuid.uuid4().hex}.pack"
+        tmp = self.directory / f".{name}.{os.getpid()}.tmp"
+        line = b"\n" + json.dumps({"pack": name, "keys": keys}).encode() + b"\n"
         try:
             with tmp.open("wb") as handle:
-                handle.write(blob)
-            tmp.replace(path)
+                handle.write(encode_pack(keys, list(runs.values())))
+            tmp.replace(self.directory / name)
+            fd = os.open(
+                self.directory / INDEX_NAME,
+                os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                0o644,
+            )
+            try:
+                os.write(fd, line)
+            finally:
+                os.close(fd)
         except OSError:  # read-only/full disk: memory layer still works
             tmp.unlink(missing_ok=True)
+            return
+        self._packs.update(dict.fromkeys(keys, name))

@@ -5,8 +5,9 @@ through the DAC pipeline against a :class:`~repro.store.RunStore`,
 persisting a durable checkpoint after every unit of work:
 
 * **collect** — the batch plan is a pure function of (workload, seed,
-  stream), so after each per-size batch the vectors gathered so far are
-  stored and ``batches_done`` advances; a restart replans and skips the
+  stream), so after each per-size batch the rows gathered so far are
+  stored as one column-backed training set and ``batches_done``
+  advances; a restart replans, reloads the stored columns and skips the
   finished prefix.
 * **fit** — the partial :class:`HierarchicalModel` is stored after each
   order; a restart continues from the next order
@@ -34,7 +35,9 @@ import traceback
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional
 
-from repro.core.collecting import Collector, PerformanceVector, TrainingSet
+import numpy as np
+
+from repro.core.collecting import Collector, TrainingSet
 from repro.core.tuner import DacTuner, TuningReport
 from repro.engine import (
     CachedBackend,
@@ -275,7 +278,9 @@ class JobRunner:
         batches = collector.plan(request.n_train, stream="train")
         progress["total_batches"] = len(batches)
 
-        vectors: List[PerformanceVector] = []
+        # The sink run_batch streams rows into: one (k, 3 + n_params)
+        # chunk per batch, folded into one matrix at each checkpoint.
+        rows: List[np.ndarray] = []
         batches_done = int(progress.get("batches_done", 0))
         # The artifact is written before the record's ``batches_done``,
         # so a crash between the two leaves it one batch ahead: resume
@@ -287,10 +292,11 @@ class JobRunner:
         if held in ends[max(batches_done - 1, 0) :]:
             batches_done = ends.index(held) + 1
             progress["batches_done"] = batches_done
-            vectors = list(partial.vectors)
+            rows.append(partial.to_matrix())
         elif batches_done:  # checkpoint missing or from different parameters
             batches_done = 0
             progress["batches_done"] = 0
+        collected = sum(len(chunk) for chunk in rows)
 
         with tele.span(
             "collect",
@@ -300,12 +306,13 @@ class JobRunner:
             resumed=batches_done > 0,
         ):
             for batch in batches[batches_done:]:
-                vectors.extend(
+                collected += len(
                     collector.run_batch(
-                        batch, done=len(vectors), total=request.n_train
+                        batch, done=collected, total=request.n_train, sink=rows
                     )
                 )
-                partial_set = TrainingSet(collector.space, vectors)
+                rows[:] = [np.vstack(rows)]
+                partial_set = TrainingSet.from_matrix(collector.space, rows[0])
 
                 def persist(ts=partial_set, done=batch.index + 1):
                     store.put_training_set(key, ts)
@@ -315,7 +322,7 @@ class JobRunner:
 
         progress["done"] = True
         self._save(record, engine, session)
-        return TrainingSet(collector.space, vectors)
+        return TrainingSet.from_matrix(collector.space, np.vstack(rows))
 
     def _warm_training(self, request: TuneRequest) -> Optional[TrainingSet]:
         """A prior job's complete training set, when it fits this request."""

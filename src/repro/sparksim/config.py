@@ -1,16 +1,16 @@
 """Typed view over a Spark configuration plus derived runtime quantities.
 
 :class:`SparkConf` wraps a :class:`~repro.common.space.Configuration`
-drawn from the Table-2 space and exposes each parameter as a typed
-property, plus the quantities Spark derives from them at job-submission
-time — most importantly the *executor packing*: how many executors fit on
-each worker given ``spark.executor.cores`` and ``spark.executor.memory``,
-and hence how many concurrent task slots the job has.
+drawn from the Table-2 space and exposes each parameter as a typed,
+unit-converted attribute (resolved once, at construction), plus the
+quantities Spark derives from them at job-submission time — most
+importantly the *executor packing*: how many executors fit on each
+worker given ``spark.executor.cores`` and ``spark.executor.memory``, and
+hence how many concurrent task slots the job has.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from repro.common.space import Configuration
@@ -40,177 +40,68 @@ class SparkConf:
         else:
             self.config = SPARK_CONF_SPACE.from_dict(dict(config or {}))
         self.cluster = cluster
+        # Every typed view is resolved once, here, not by a lookup per
+        # read: the simulator reads them per task, stage and wave (about
+        # 190 reads per run).
+        v = self.config
+        # Shuffle and I/O (sizes in bytes).
+        self.reducer_max_size_in_flight: int = v["spark.reducer.maxSizeInFlight"] * MB
+        self.shuffle_file_buffer: int = v["spark.shuffle.file.buffer"] * KB
+        self.bypass_merge_threshold: int = v["spark.shuffle.sort.bypassMergeThreshold"]
+        self.shuffle_compress: bool = v["spark.shuffle.compress"]
+        self.consolidate_files: bool = v["spark.shuffle.consolidateFiles"]
+        self.shuffle_spill: bool = v["spark.shuffle.spill"]
+        self.shuffle_spill_compress: bool = v["spark.shuffle.spill.compress"]
+        self.shuffle_manager: str = v["spark.shuffle.manager"]
+        self.broadcast_block_size: int = v["spark.broadcast.blockSize"] * MB
+        self.broadcast_compress: bool = v["spark.broadcast.compress"]
+        self.rdd_compress: bool = v["spark.rdd.compress"]
+        self.memory_map_threshold: int = v["spark.storage.memoryMapThreshold"] * MB
+        # Compression: the block size of the *active* codec (lzf is unblocked).
+        self.compression_codec: str = v["spark.io.compression.codec"]
+        if self.compression_codec == "lz4":
+            self.codec_block_size: int = v["spark.io.compression.lz4.blockSize"] * KB
+        elif self.compression_codec == "snappy":
+            self.codec_block_size = v["spark.io.compression.snappy.blockSize"] * KB
+        else:
+            self.codec_block_size = 32 * KB
+        # Serialization.
+        self.serializer: str = v["spark.serializer"]
+        self.kryo_reference_tracking: bool = v["spark.kryo.referenceTracking"]
+        self.kryo_buffer_max: int = v["spark.kryoserializer.buffer.max"] * MB
+        self.kryo_buffer: int = v["spark.kryoserializer.buffer"] * KB
+        # Scheduling and speculation (intervals in seconds).
+        self.speculation: bool = v["spark.speculation"]
+        self.speculation_interval: float = (
+            v["spark.speculation.interval"] / 1000.0  # ms -> s
+        )
+        self.speculation_multiplier: float = v["spark.speculation.multiplier"]
+        self.speculation_quantile: float = v["spark.speculation.quantile"]
+        self.locality_wait: float = float(v["spark.locality.wait"])
+        self.revive_interval: float = float(v["spark.scheduler.revive.interval"])
+        self.task_max_failures: int = v["spark.task.maxFailures"]
+        self.default_parallelism: int = v["spark.default.parallelism"]
+        self.local_execution: bool = v["spark.localExecution.enabled"]
+        # Networking and liveness.
+        self.akka_failure_threshold: int = v["spark.akka.failure.detector.threshold"]
+        self.akka_heartbeat_pauses: float = float(v["spark.akka.heartbeat.pauses"])
+        self.akka_heartbeat_interval: float = float(v["spark.akka.heartbeat.interval"])
+        self.akka_threads: int = v["spark.akka.threads"]
+        self.network_timeout: float = float(v["spark.network.timeout"])
+        # Cores and memory (sizes in bytes).
+        self.driver_cores: int = v["spark.driver.cores"]
+        self.executor_cores: int = v["spark.executor.cores"]
+        self.driver_memory: int = v["spark.driver.memory"] * MB
+        self.executor_memory: int = v["spark.executor.memory"] * MB
+        self.memory_fraction: float = v["spark.memory.fraction"]
+        self.storage_fraction: float = v["spark.memory.storageFraction"]
+        self.off_heap_enabled: bool = v["spark.memory.offHeap.enabled"]
+        self.off_heap_size: int = (
+            (v["spark.memory.offHeap.size"] * MB) if self.off_heap_enabled else 0
+        )
 
     def __getitem__(self, name: str):
         return self.config[self.config.space.resolve_name(name)]
-
-    # ------------------------------------------------------------------
-    # Raw parameter views (typed, unit-converted to bytes/seconds)
-    # ------------------------------------------------------------------
-    @property
-    def reducer_max_size_in_flight(self) -> int:
-        return self["spark.reducer.maxSizeInFlight"] * MB
-
-    @property
-    def shuffle_file_buffer(self) -> int:
-        return self["spark.shuffle.file.buffer"] * KB
-
-    @property
-    def bypass_merge_threshold(self) -> int:
-        return self["spark.shuffle.sort.bypassMergeThreshold"]
-
-    @property
-    def speculation(self) -> bool:
-        return self["spark.speculation"]
-
-    @property
-    def speculation_interval(self) -> float:
-        return self["spark.speculation.interval"] / 1000.0  # ms -> s
-
-    @property
-    def speculation_multiplier(self) -> float:
-        return self["spark.speculation.multiplier"]
-
-    @property
-    def speculation_quantile(self) -> float:
-        return self["spark.speculation.quantile"]
-
-    @property
-    def broadcast_block_size(self) -> int:
-        return self["spark.broadcast.blockSize"] * MB
-
-    @property
-    def compression_codec(self) -> str:
-        return self["spark.io.compression.codec"]
-
-    @property
-    def codec_block_size(self) -> int:
-        """Block size of the *active* codec, in bytes (lzf is unblocked)."""
-        if self.compression_codec == "lz4":
-            return self["spark.io.compression.lz4.blockSize"] * KB
-        if self.compression_codec == "snappy":
-            return self["spark.io.compression.snappy.blockSize"] * KB
-        return 32 * KB
-
-    @property
-    def kryo_reference_tracking(self) -> bool:
-        return self["spark.kryo.referenceTracking"]
-
-    @property
-    def kryo_buffer_max(self) -> int:
-        return self["spark.kryoserializer.buffer.max"] * MB
-
-    @property
-    def kryo_buffer(self) -> int:
-        return self["spark.kryoserializer.buffer"] * KB
-
-    @property
-    def driver_cores(self) -> int:
-        return self["spark.driver.cores"]
-
-    @property
-    def executor_cores(self) -> int:
-        return self["spark.executor.cores"]
-
-    @property
-    def driver_memory(self) -> int:
-        return self["spark.driver.memory"] * MB
-
-    @property
-    def executor_memory(self) -> int:
-        return self["spark.executor.memory"] * MB
-
-    @property
-    def memory_map_threshold(self) -> int:
-        return self["spark.storage.memoryMapThreshold"] * MB
-
-    @property
-    def akka_failure_threshold(self) -> int:
-        return self["spark.akka.failure.detector.threshold"]
-
-    @property
-    def akka_heartbeat_pauses(self) -> float:
-        return float(self["spark.akka.heartbeat.pauses"])
-
-    @property
-    def akka_heartbeat_interval(self) -> float:
-        return float(self["spark.akka.heartbeat.interval"])
-
-    @property
-    def akka_threads(self) -> int:
-        return self["spark.akka.threads"]
-
-    @property
-    def network_timeout(self) -> float:
-        return float(self["spark.network.timeout"])
-
-    @property
-    def locality_wait(self) -> float:
-        return float(self["spark.locality.wait"])
-
-    @property
-    def revive_interval(self) -> float:
-        return float(self["spark.scheduler.revive.interval"])
-
-    @property
-    def task_max_failures(self) -> int:
-        return self["spark.task.maxFailures"]
-
-    @property
-    def shuffle_compress(self) -> bool:
-        return self["spark.shuffle.compress"]
-
-    @property
-    def consolidate_files(self) -> bool:
-        return self["spark.shuffle.consolidateFiles"]
-
-    @property
-    def memory_fraction(self) -> float:
-        return self["spark.memory.fraction"]
-
-    @property
-    def shuffle_spill(self) -> bool:
-        return self["spark.shuffle.spill"]
-
-    @property
-    def shuffle_spill_compress(self) -> bool:
-        return self["spark.shuffle.spill.compress"]
-
-    @property
-    def broadcast_compress(self) -> bool:
-        return self["spark.broadcast.compress"]
-
-    @property
-    def rdd_compress(self) -> bool:
-        return self["spark.rdd.compress"]
-
-    @property
-    def serializer(self) -> str:
-        return self["spark.serializer"]
-
-    @property
-    def storage_fraction(self) -> float:
-        return self["spark.memory.storageFraction"]
-
-    @property
-    def local_execution(self) -> bool:
-        return self["spark.localExecution.enabled"]
-
-    @property
-    def default_parallelism(self) -> int:
-        return self["spark.default.parallelism"]
-
-    @property
-    def off_heap_enabled(self) -> bool:
-        return self["spark.memory.offHeap.enabled"]
-
-    @property
-    def shuffle_manager(self) -> str:
-        return self["spark.shuffle.manager"]
-
-    @property
-    def off_heap_size(self) -> int:
-        return (self["spark.memory.offHeap.size"] * MB) if self.off_heap_enabled else 0
 
     # ------------------------------------------------------------------
     # Derived executor packing

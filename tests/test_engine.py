@@ -152,10 +152,7 @@ def test_disk_cache_survives_backend_instances(space, tmp_path):
 
 def test_corrupt_disk_entry_is_a_miss(space, tmp_path):
     request = _requests(space, n=1)[0]
-    warm = CachedBackend(InProcessBackend(), directory=tmp_path)
-    warm.submit([request])
-    for entry in tmp_path.glob("*.pkl"):
-        entry.write_bytes(b"not a pickle")
+    _legacy_entry(tmp_path, request).write_bytes(b"not a pickle")
     cold = CachedBackend(InProcessBackend(), directory=tmp_path)
     outcome = cold.submit([request])[0]
     assert not outcome.cache_hit and cold.inner.stats.runs == 1
@@ -233,23 +230,41 @@ def test_cli_rejects_unknown_backend(capsys):
         build_parser().parse_args(["run", "TS", "--size", "30", "--backend", "thread"])
 
 
-def test_disk_cache_entries_are_blob_containers(space, tmp_path):
+# ----------------------------------------------------------------------
+# Legacy per-key entries (read, never written)
+# ----------------------------------------------------------------------
+def _legacy_entry(directory, request, run=None):
+    """Write ``request``'s result as a blob-wrapped per-key pickle, the
+    layout caches used before packs; returns the entry's path."""
     from repro.store import blobfmt
 
-    backend = CachedBackend(InProcessBackend(), directory=tmp_path)
-    backend.submit(_requests(space, n=1))
-    entries = list(tmp_path.glob("*.pkl"))
-    assert entries and all(
-        e.read_bytes().startswith(blobfmt.MAGIC) for e in entries
+    if run is None:
+        run = InProcessBackend().run(request.job, request.config)
+    path = directory / f"{request_key(request, InProcessBackend().signature())}.pkl"
+    path.write_bytes(
+        blobfmt.encode_sections(
+            {"pickle": np.frombuffer(pickle.dumps(run), dtype=np.uint8)},
+            kind="cache_entry",
+        )
     )
+    return path
+
+
+def test_legacy_blob_entry_still_serves(space, tmp_path):
+    request = _requests(space, n=1)[0]
+    expected = InProcessBackend().run(request.job, request.config)
+    _legacy_entry(tmp_path, request, expected)
+    cold = CachedBackend(InProcessBackend(), directory=tmp_path)
+    outcome = cold.submit([request])[0]
+    assert outcome.cache_hit and cold.inner.stats.runs == 0
+    assert outcome.run == expected
 
 
 def test_legacy_tagged_pickle_entry_still_serves(space, tmp_path):
     """Entries written under the old tagged-pickle layout keep hitting."""
     request = _requests(space, n=1)[0]
-    warm = CachedBackend(InProcessBackend(), directory=tmp_path)
-    expected = warm.submit([request])[0].run
-    entry = next(tmp_path.glob("*.pkl"))
+    expected = InProcessBackend().run(request.job, request.config)
+    entry = _legacy_entry(tmp_path, request)
     from repro.engine import CACHE_FORMAT
 
     entry.write_bytes(CACHE_FORMAT + pickle.dumps(expected))
@@ -261,33 +276,214 @@ def test_legacy_tagged_pickle_entry_still_serves(space, tmp_path):
 
 
 def test_stale_format_entry_invalidated_and_rewritten(space, tmp_path):
-    """A cache entry from an older format version reads as a miss and is
-    replaced by a current-format entry."""
+    """A cache entry from an older format version reads as a miss, is
+    evicted, and its result is rewritten to a pack."""
     request = _requests(space, n=1)[0]
-    warm = CachedBackend(InProcessBackend(), directory=tmp_path)
-    expected = warm.submit([request])[0].run
-    entry = next(tmp_path.glob("*.pkl"))
+    expected = InProcessBackend().run(request.job, request.config)
+    entry = _legacy_entry(tmp_path, request)
     entry.write_bytes(b"repro-cache/0\n" + pickle.dumps(expected))
-
-    from repro.store import blobfmt
 
     cold = CachedBackend(InProcessBackend(), directory=tmp_path)
     outcome = cold.submit([request])[0]
     assert not outcome.cache_hit  # stale format did not serve
-    assert entry.read_bytes().startswith(blobfmt.MAGIC)  # rewritten
+    assert not entry.exists()  # evicted
     assert outcome.run.seconds == expected.seconds
+    third = CachedBackend(InProcessBackend(), directory=tmp_path)
+    assert third.submit([request])[0].cache_hit  # answered from the pack
 
 
 def test_truncated_disk_entry_evicted_then_overwritten(space, tmp_path):
     request = _requests(space, n=1)[0]
-    warm = CachedBackend(InProcessBackend(), directory=tmp_path)
-    warm.submit([request])
-    entry = next(tmp_path.glob("*.pkl"))
+    entry = _legacy_entry(tmp_path, request)
     entry.write_bytes(entry.read_bytes()[:-7])  # torn write
 
     cold = CachedBackend(InProcessBackend(), directory=tmp_path)
     first = cold.submit([request])[0]
     assert not first.cache_hit and cold.inner.stats.runs == 1
-    # the bad entry was replaced: a third backend now hits disk cleanly
+    assert not entry.exists()
+    # the result was rewritten: a third backend now hits disk cleanly
     third = CachedBackend(InProcessBackend(), directory=tmp_path)
     assert third.submit([request])[0].cache_hit
+
+
+# ----------------------------------------------------------------------
+# Packs: one checksummed container per submit, listed in index.jsonl
+# ----------------------------------------------------------------------
+def _packs(directory):
+    return sorted(directory.glob("*.pack"))
+
+
+def test_disk_cache_entries_are_blob_containers(space, tmp_path):
+    """One checksummed pack per submit that missed; no per-key files and
+    no pickle."""
+    from repro.engine.cache import INDEX_NAME
+    from repro.store import blobfmt
+
+    backend = CachedBackend(InProcessBackend(), directory=tmp_path)
+    backend.submit(_requests(space, n=5))
+    backend.submit(_requests(space, n=3, seed="other"))
+    backend.submit(_requests(space, n=5))  # all hits: writes nothing
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [INDEX_NAME] + [p.name for p in _packs(tmp_path)]
+    )
+    assert len(_packs(tmp_path)) == 2
+    for pack in _packs(tmp_path):
+        header, sections = blobfmt.decode_sections(pack.read_bytes())
+        assert header["kind"] == "cache_pack"
+        assert "pickle" not in sections
+        assert all(s.dtype != np.uint8 for s in sections.values())
+
+
+def test_run_results_round_trip_through_a_pack(space):
+    from repro.engine.cache import decode_pack, encode_pack
+
+    rng = derive_rng("pack-round-trip")
+    runs = []
+    for program in ("PR", "KM", "BA", "NW", "WC", "TS"):
+        workload = get_workload(program)
+        for size in workload.paper_sizes[:2]:
+            config = space.random(rng)
+            runs.append(InProcessBackend().run(workload.job(size), config))
+    keys = [f"k{i}" for i in range(len(runs))]
+    decoded = decode_pack(encode_pack(keys, runs))
+    assert list(decoded) == keys
+    for key, run in zip(keys, runs):
+        assert decoded[key] == run
+        assert repr(decoded[key]) == repr(run)
+        stage = decoded[key].stages[0]
+        assert type(stage.num_tasks) is int and type(stage.iterations) is int
+
+
+def test_clear_memory_reads_packs_back_from_disk(space, tmp_path):
+    requests = _requests(space, n=4)
+    backend = CachedBackend(InProcessBackend(), directory=tmp_path)
+    first = backend.submit(requests)
+    backend.clear_memory()
+    assert len(backend) == 0
+    again = backend.submit(requests)
+    assert all(o.cache_hit for o in again) and backend.inner.stats.runs == 4
+    assert [o.run for o in again] == [o.run for o in first]
+    # With the pack gone, the cleared backend really does miss.
+    backend.clear_memory()
+    for pack in _packs(tmp_path):
+        pack.unlink()
+    assert not any(o.cache_hit for o in backend.submit(requests))
+
+
+@pytest.mark.parametrize("damage", ["corrupt", "truncated"])
+def test_damaged_pack_misses_and_is_rewritten(space, tmp_path, damage):
+    requests = _requests(space, n=3)
+    CachedBackend(InProcessBackend(), directory=tmp_path).submit(requests)
+    (pack,) = _packs(tmp_path)
+    blob = bytearray(pack.read_bytes())
+    if damage == "corrupt":
+        blob[-9] ^= 0xFF
+    else:
+        del blob[-100:]
+    pack.write_bytes(bytes(blob))
+
+    cold = CachedBackend(InProcessBackend(), directory=tmp_path)
+    outcomes = cold.submit(requests)
+    assert not any(o.cache_hit for o in outcomes) and cold.inner.stats.runs == 3
+    assert not pack.exists()  # evicted
+    (rewritten,) = _packs(tmp_path)
+    third = CachedBackend(InProcessBackend(), directory=tmp_path)
+    replayed = third.submit(requests)
+    assert all(o.cache_hit for o in replayed) and third.inner.stats.runs == 0
+    assert [o.run for o in replayed] == [o.run for o in outcomes]
+
+
+def test_torn_index_tail_line_is_skipped(space, tmp_path):
+    from repro.engine.cache import INDEX_NAME
+
+    first, second = _requests(space, n=2)
+    CachedBackend(InProcessBackend(), directory=tmp_path).submit([first])
+    index = tmp_path / INDEX_NAME
+    with index.open("ab") as handle:  # a writer killed mid-append
+        handle.write(b'\n{"pack": "feed.pack", "keys": ["0123')
+    reader = CachedBackend(InProcessBackend(), directory=tmp_path)
+    assert reader.submit([first])[0].cache_hit
+    # The next writer's line terminates the torn one and still counts.
+    CachedBackend(InProcessBackend(), directory=tmp_path).submit([second])
+    later = CachedBackend(InProcessBackend(), directory=tmp_path)
+    assert all(o.cache_hit for o in later.submit([first, second]))
+    assert reader.submit([second])[0].cache_hit
+    assert later.inner.stats.runs == reader.inner.stats.runs == 0
+
+
+def test_pack_without_index_line_is_ignored(space, tmp_path):
+    """A crash between the pack's rename and its index append leaves a
+    pack nobody references."""
+    from repro.engine.cache import INDEX_NAME
+
+    request = _requests(space, n=1)[0]
+    CachedBackend(InProcessBackend(), directory=tmp_path).submit([request])
+    (tmp_path / INDEX_NAME).unlink()
+    cold = CachedBackend(InProcessBackend(), directory=tmp_path)
+    assert not cold.submit([request])[0].cache_hit
+    assert len(_packs(tmp_path)) == 2  # the orphan plus the rewrite
+
+
+def test_second_backend_sees_packs_written_after_its_first_lookup(space, tmp_path):
+    early, late = _requests(space, n=2)
+    reader = CachedBackend(InProcessBackend(), directory=tmp_path)
+    writer = CachedBackend(InProcessBackend(), directory=tmp_path)
+    assert not reader.submit([early])[0].cache_hit  # reads the index to its end
+    writer.submit([late])
+    outcome = reader.submit([late])[0]
+    assert outcome.cache_hit
+    assert outcome.run == writer.submit([late])[0].run
+
+
+def test_batch_keys_equal_one_at_a_time_keys(space):
+    from repro.engine.cache import request_keys
+
+    terasort, kmeans = get_workload("TS"), get_workload("KM")
+    jobs = [terasort.job(30.0), kmeans.job(160.0)]
+    rng = derive_rng("batch-keys")
+    requests = [
+        ExecRequest(job=jobs[i % 2], config=space.random(rng)) for i in range(8)
+    ]
+    requests.append(ExecRequest(job=terasort.job(30.0), config=requests[0].config))
+    signature = InProcessBackend().signature()
+    assert request_keys(requests, signature) == [
+        request_key(r, signature) for r in requests
+    ]
+    assert request_keys(requests, signature)[0] == request_keys(requests, signature)[-1]
+
+
+def _pack_writer(directory, writer):
+    """Child process: five submits of fresh requests into one cache dir."""
+    from repro.sparksim.confspace import SPARK_CONF_SPACE
+
+    backend = CachedBackend(InProcessBackend(), directory=directory)
+    for i in range(5):
+        backend.submit(_requests(SPARK_CONF_SPACE, n=3, seed=f"{writer}-{i}"))
+
+
+def test_concurrent_writers_lose_no_index_lines(space, tmp_path):
+    """More writer processes than cores append to one index: every pack
+    they wrote must be listed, so a fresh reader hits every key."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("spawn")
+    writers = [
+        context.Process(target=_pack_writer, args=(str(tmp_path), w))
+        for w in range(4)
+    ]
+    for process in writers:
+        process.start()
+    for process in writers:
+        process.join(timeout=120)
+    assert not any(process.is_alive() for process in writers)
+    assert [process.exitcode for process in writers] == [0] * 4
+    requests = [
+        request
+        for w in range(4)
+        for i in range(5)
+        for request in _requests(space, n=3, seed=f"{w}-{i}")
+    ]
+    reader = CachedBackend(InProcessBackend(), directory=tmp_path)
+    assert all(o.cache_hit for o in reader.submit(requests))
+    assert reader.inner.stats.runs == 0
+    assert len(_packs(tmp_path)) == 20

@@ -19,7 +19,7 @@ from repro.core.collecting import (
     Collector,
     TrainingSet,
     encode_raw_columns,
-    raw_value,
+    raw_columns,
     value_from_raw,
 )
 from repro.core.tuner import DacTuner
@@ -32,6 +32,7 @@ from repro.store.blobfmt import (
     encode_sections,
     map_sections,
 )
+from tests.oracles.collecting import raw_value
 
 # ----------------------------------------------------------------------
 # Hypothesis strategies: arbitrary section tables
@@ -177,6 +178,16 @@ class TestRawColumns:
             for param in space.parameters:
                 raw = raw_value(param, config[param.name])
                 assert value_from_raw(param, raw) == config[param.name]
+
+    def test_raw_columns_match_cell_loop_bitwise(self, space, rng):
+        configs = [space.default()] + [space.random(rng) for _ in range(200)]
+        expected = np.array(
+            [[raw_value(p, c[p.name]) for p in space.parameters] for c in configs]
+        )
+        got = raw_columns(space, configs)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, expected)
+        assert raw_columns(space, []).shape == (0, len(space.parameters))
 
     def test_vectorized_encode_matches_row_loop_bitwise(self, space, rng):
         configs = [space.random(rng) for _ in range(50)]

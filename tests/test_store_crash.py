@@ -228,3 +228,49 @@ def test_resume_after_kill_between_artifact_and_record_writes(tmp_path):
         REQUEST["size"], generations=REQUEST["generations"], patience=None
     )
     assert resumed.result["fingerprint"] == report_fingerprint(reference)
+
+
+def test_collect_artifact_equals_row_object_training_set(tmp_path):
+    """Collect checkpoints stream column rows.  The stored training set
+    must be byte-identical to the one built from row objects
+    (``TrainingSet(space, vectors)``), both for an uninterrupted job
+    and for one resumed from a two-batch checkpoint."""
+    from repro.core.collecting import Collector, TrainingSet
+    from repro.engine import InProcessBackend
+    from repro.io import codecs
+    from repro.store.artifacts import payload_digest
+
+    request = TuneRequest(program="TS", kind="collect", n_train=100, seed=5)
+    collector = Collector(get_workload("TS"), seed=5, engine=InProcessBackend())
+    batches = collector.plan(request.n_train, stream="train")
+    vectors = [v for batch in batches for v in collector.run_batch(batch)]
+    codec = codecs.default_for("training_set")
+    expected = payload_digest(codec.encode(TrainingSet(collector.space, vectors)))
+
+    def stored_digest(root, record):
+        entry = RunStore(root).entry(record.artifact_key("training"))
+        return entry["digest"]
+
+    fresh_root = tmp_path / "fresh"
+    service = JobService(fresh_root, use_cache=False)
+    record = service.submit(request)
+    (done,) = service.run_pending()
+    assert done.state == DONE
+    assert stored_digest(fresh_root, record) == expected
+
+    resumed_root = tmp_path / "resumed"
+    service = JobService(resumed_root, use_cache=False)
+    record = service.submit(request)
+    store = RunStore(resumed_root)
+    store.put_training_set(
+        record.artifact_key("training"), TrainingSet(collector.space, vectors[:20])
+    )
+    record.state = "running"
+    record.sessions = 1
+    record.runs_by_session = {"1": 20}
+    record.progress = {"collect": {"batches_done": 2, "total_batches": len(batches)}}
+    store.save_job(record.job_id, record.to_dict())
+    resumed = JobService(resumed_root, use_cache=False).resume(record.job_id)
+    assert resumed.state == DONE
+    assert resumed.runs_by_session["2"] == request.n_train - 20
+    assert stored_digest(resumed_root, record) == expected
