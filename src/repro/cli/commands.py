@@ -887,7 +887,8 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 
 def cmd_store(args: argparse.Namespace) -> int:
-    """``repro store gc``: sweep unreferenced blobs (dry-run by default)."""
+    """``repro store gc``: sweep unreferenced blobs and unindexed cache
+    packs (dry-run by default)."""
     from repro.store import RunStore, StoreError
 
     try:
@@ -899,12 +900,14 @@ def cmd_store(args: argparse.Namespace) -> int:
     mode = "swept" if report["applied"] else "would sweep"
     log.info(
         "%s: %d live blob(s); %s %d unreferenced blob(s) + %d tmp file(s), "
-        "%s reclaimed%s",
+        "%d unindexed cache pack(s) + %d cache tmp file(s), %s reclaimed%s",
         args.store,
         report["live"],
         mode,
         len(report["swept"]),
         report["tmp_swept"],
+        report["cache_packs_swept"],
+        report["cache_tmp_swept"],
         fmt_bytes(float(report["reclaimed_bytes"])),
         "" if report["applied"] else " (dry run; pass --apply to delete)",
     )

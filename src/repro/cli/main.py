@@ -417,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = store.add_subparsers(dest="action", required=True)
     gc = store_sub.add_parser(
         "gc",
-        help="sweep object blobs no index entry references (dry-run "
-        "unless --apply)",
+        help="sweep object blobs no index entry references and cache "
+        "packs no cache index line names (dry-run unless --apply)",
         parents=[verbosity],
     )
     gc.add_argument("--store", metavar="DIR", required=True,

@@ -6,9 +6,10 @@ uniformly at random within its value range; the Genetic Algorithm
 numeric encoding of a configuration.  This module provides both views:
 
 * :class:`Parameter` subclasses describe a single knob — its range,
-  default, random sampling, and a bijective numeric encoding;
-* :class:`ConfigurationSpace` aggregates an ordered list of parameters and
-  converts whole configurations to/from feature vectors;
+  default, and a bijective numeric encoding;
+* :class:`ConfigurationSpace` aggregates an ordered list of parameters,
+  draws random configurations as one raw-value matrix, and converts
+  whole configurations to/from feature vectors;
 * :class:`Configuration` is an immutable mapping of parameter name to
   value with dict-like access.
 
@@ -23,12 +24,15 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.common.rng import draw_rounds
+
 
 class Parameter:
     """A single tunable knob.
 
-    Subclasses implement sampling, validation, and a numeric encoding used
-    by the performance models and the GA.  Encodings are *normalized to
+    Subclasses implement validation and a numeric encoding used by the
+    performance models and the GA; :meth:`ConfigurationSpace.sample`
+    draws values for all of them at once.  Encodings are *normalized to
     [0, 1]* so that mutation step sizes and model split thresholds are
     comparable across parameters of wildly different scales (e.g. memory
     in MB vs. a boolean flag).
@@ -37,10 +41,6 @@ class Parameter:
     name: str
     description: str
     default: Any
-
-    def sample(self, rng: np.random.Generator) -> Any:
-        """Draw a uniformly random legal value."""
-        raise NotImplementedError
 
     def validate(self, value: Any) -> Any:
         """Return a legal, canonical version of ``value`` or raise ``ValueError``."""
@@ -75,9 +75,6 @@ class IntParameter(Parameter):
     def __post_init__(self) -> None:
         if self.low > self.high:
             raise ValueError(f"{self.name}: low {self.low} > high {self.high}")
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.low, self.high + 1))
 
     def validate(self, value: Any) -> int:
         ivalue = int(value)
@@ -118,9 +115,6 @@ class FloatParameter(Parameter):
         if self.low > self.high:
             raise ValueError(f"{self.name}: low {self.low} > high {self.high}")
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
-
     def validate(self, value: Any) -> float:
         fvalue = float(value)
         if not (self.low <= fvalue <= self.high) and fvalue != self.default:
@@ -154,9 +148,6 @@ class CategoricalParameter(Parameter):
             raise ValueError(f"{self.name}: default {self.default!r} not a choice")
         if len(set(self.choices)) != len(self.choices):
             raise ValueError(f"{self.name}: duplicate choices")
-
-    def sample(self, rng: np.random.Generator) -> Any:
-        return self.choices[int(rng.integers(0, len(self.choices)))]
 
     def validate(self, value: Any) -> Any:
         if value not in self.choices:
@@ -207,6 +198,17 @@ class Configuration(Mapping[str, Any]):
         self._values = {
             p.name: p.validate(values[p.name]) for p in space.parameters
         }
+
+    @classmethod
+    def _drawn(
+        cls, space: "ConfigurationSpace", values: Dict[str, Any]
+    ) -> "Configuration":
+        """Adopt ``values`` — canonical, in range by construction, in
+        parameter order — without validating them."""
+        self = cls.__new__(cls)
+        self._space = space
+        self._values = values
+        return self
 
     @property
     def space(self) -> "ConfigurationSpace":
@@ -271,6 +273,26 @@ class ConfigurationSpace:
         self.names: Tuple[str, ...] = tuple(names)
         self.names_set = frozenset(names)
         self._by_name: Dict[str, Parameter] = {p.name: p for p in parameters}
+        # How the Configuration Generator draws each column: the span of
+        # a bounded-integer draw (-1 for a uniform float), then the raw
+        # value as ``draw * scale + offset``.
+        spans, scale, offset = [], [], []
+        for p in self.parameters:
+            if isinstance(p, CategoricalParameter):
+                spans.append(len(p.choices) - 1)
+                scale.append(1.0)
+                offset.append(0.0)
+            elif isinstance(p, IntParameter):
+                spans.append(p.high - p.low)
+                scale.append(1.0)
+                offset.append(float(p.low))
+            else:
+                spans.append(-1)
+                scale.append(float(p.high) - float(p.low))
+                offset.append(float(p.low))
+        self._spans = tuple(spans)
+        self._scale = np.array(scale)
+        self._offset = np.array(offset)
 
     # -- lookup ---------------------------------------------------------
     def __len__(self) -> int:
@@ -301,10 +323,44 @@ class ConfigurationSpace:
 
     def random(self, rng: np.random.Generator) -> Configuration:
         """One draw of the paper's Configuration Generator (CG)."""
-        return Configuration(self, {p.name: p.sample(rng) for p in self.parameters})
+        return self.configurations(self.sample(1, rng))[0]
 
-    def sample(self, n: int, rng: np.random.Generator) -> List[Configuration]:
-        return [self.random(rng) for _ in range(n)]
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` draws of the CG as an ``(n, n_params)`` raw-value matrix.
+
+        Each parameter is uniform over its range: ``integers(low, high +
+        1)`` for an integer knob, ``uniform(low, high)`` for a float
+        knob and a uniform choice index for a categorical one, drawn
+        config by config in parameter order.  Values and the state
+        ``rng`` is left in are bit-identical to those scalar calls
+        (:func:`~repro.common.rng.draw_rounds`), so a batch of ``n``
+        equals ``n`` successive :meth:`random` draws.  Raw values are
+        the numbers themselves for numeric knobs and choice indices for
+        categoricals (the collector's column layout).
+        """
+        return draw_rounds(rng, self._spans, n) * self._scale + self._offset
+
+    def configurations(self, values: np.ndarray) -> List[Configuration]:
+        """The configurations of a raw-value matrix drawn by :meth:`sample`.
+
+        Converted a column at a time to the parameters' Python types
+        (``int``, ``float`` or the choice itself) and not validated:
+        drawn values are in range by construction.
+        """
+        columns = []
+        for j, p in enumerate(self.parameters):
+            column = values[:, j]
+            if isinstance(p, CategoricalParameter):
+                indices = column.astype(np.int64).tolist()
+                columns.append([p.choices[i] for i in indices])
+            elif isinstance(p, IntParameter):
+                columns.append(column.astype(np.int64).tolist())
+            else:
+                columns.append(column.tolist())
+        return [
+            Configuration._drawn(self, dict(zip(self.names, row)))
+            for row in zip(*columns)
+        ]
 
     def from_dict(self, values: Mapping[str, Any]) -> Configuration:
         """Build a configuration from a possibly partial dict (defaults fill gaps)."""

@@ -46,6 +46,9 @@ class CollectBatch:
     index: int
     size: float
     requests: Tuple[ExecRequest, ...]
+    #: The requests' configurations as read-only raw-value rows (the
+    #: collector's column layout), as drawn by the plan.
+    values: np.ndarray = field(compare=False, repr=False)
 
     @property
     def datasize_bytes(self) -> float:
@@ -446,11 +449,13 @@ class Collector:
     def plan(self, total_examples: int, stream: str = "train") -> List[CollectBatch]:
         """Draw the full batch plan for a collection, without executing.
 
-        Configurations are drawn size-by-size in the exact order
-        :meth:`collect` executes them, from an RNG derived solely from
-        (workload, seed, stream) — replanning always reproduces the same
-        batches, which is what makes batch-level checkpoint/resume
-        byte-identical to an uninterrupted collection.
+        All configurations are drawn as one raw-value matrix
+        (:meth:`~repro.common.space.ConfigurationSpace.sample`) in the
+        exact order :meth:`collect` executes them, from an RNG derived
+        solely from (workload, seed, stream), and sliced per size —
+        replanning always reproduces the same batches, which is what
+        makes batch-level checkpoint/resume byte-identical to an
+        uninterrupted collection.
         """
         if total_examples < 1:
             raise ValueError("need at least one example")
@@ -458,18 +463,27 @@ class Collector:
         per_size = [total_examples // self.num_sizes] * self.num_sizes
         for i in range(total_examples % self.num_sizes):
             per_size[i] += 1
+        values = self.space.sample(total_examples, rng)
+        values.setflags(write=False)
+        configs = self.space.configurations(values)
         batches: List[CollectBatch] = []
+        start = 0
         for size, k in zip(self.sizes, per_size):
             if k == 0:
                 continue
             job = self.workload.job(size)
-            requests = tuple(
-                ExecRequest(job=job, config=self.space.random(rng))
-                for _ in range(k)
-            )
+            rows = slice(start, start + k)
             batches.append(
-                CollectBatch(index=len(batches), size=size, requests=requests)
+                CollectBatch(
+                    index=len(batches),
+                    size=size,
+                    requests=tuple(
+                        ExecRequest(job=job, config=config) for config in configs[rows]
+                    ),
+                    values=values[rows],
+                )
             )
+            start += k
         return batches
 
     def run_batch(
@@ -509,9 +523,7 @@ class Collector:
             rows[:, 0] = [run.seconds for run in runs]
             rows[:, 1] = batch.size
             rows[:, 2] = batch.datasize_bytes
-            rows[:, 3:] = raw_columns(
-                self.space, [request.config for request in batch.requests]
-            )
+            rows[:, 3:] = batch.values
             sink.append(rows)
         tele.event(
             "collect.size",

@@ -76,6 +76,56 @@ _STAGE_FLOATS = tuple(
 )
 
 
+def _index_entries(blob: bytes):
+    """``(pack, keys)`` of each well-formed index line; torn lines and
+    pack names that are not plain file names are skipped."""
+    for line in blob.split(b"\n"):
+        if not line:
+            continue
+        try:
+            entry = json.loads(line)
+            pack, keys = entry["pack"], entry["keys"]
+        except (ValueError, TypeError, KeyError):
+            continue  # torn line
+        if isinstance(pack, str) and os.path.basename(pack) == pack:
+            yield pack, keys
+
+
+def sweep_cache_dir(
+    directory: Union[str, Path], apply: bool, min_age_seconds: float, now: float
+) -> Dict[str, int]:
+    """Find (and with ``apply``, delete) a cache directory's dead files.
+
+    Dead are packs no index line names — orphaned by a crash between
+    rename and index append — and ``.*.tmp`` files of crashed writers.
+    Files younger than ``min_age_seconds`` are kept: a live writer's
+    pack exists before its index line does.  Legacy ``*.pkl`` entries
+    are still served and are left alone.
+    """
+    directory = Path(directory)
+    report = {"packs_swept": 0, "tmp_swept": 0, "skipped_young": 0, "bytes": 0}
+    try:
+        index = (directory / INDEX_NAME).read_bytes()
+        named = {pack for pack, _ in _index_entries(index)}
+    except OSError:  # no index: no pack is named
+        named = set()
+    for path in sorted(directory.glob("*.pack")) + sorted(directory.glob(".*.tmp")):
+        if path.name in named:
+            continue
+        try:
+            stat = path.stat()
+        except OSError:
+            continue  # raced with another sweeper
+        if now - stat.st_mtime < min_age_seconds:
+            report["skipped_young"] += 1
+            continue
+        report["tmp_swept" if path.name.startswith(".") else "packs_swept"] += 1
+        report["bytes"] += stat.st_size
+        if apply:
+            path.unlink(missing_ok=True)
+    return report
+
+
 # ----------------------------------------------------------------------
 # Keys
 # ----------------------------------------------------------------------
@@ -251,7 +301,9 @@ class CachedBackend(ExecutionBackend):
         #: key -> pack file name, as read from the index so far.
         self._packs: Dict[str, str] = {}
         self._index_offset = 0
-        self._index_fresh = False
+        #: Keys of legacy per-key files, as of the last directory listing.
+        self._legacy: set = set()
+        self._disk_fresh = False
         self._signature = inner.signature()
 
     # -- protocol -------------------------------------------------------
@@ -270,7 +322,8 @@ class CachedBackend(ExecutionBackend):
         registry = get_registry()
         outcomes: List[Optional[ExecOutcome]] = [None] * len(requests)
         misses: List[Tuple[int, str, ExecRequest]] = []
-        self._index_fresh = False  # the index is re-read at most once per call
+        # The index and the legacy listing are re-read at most once per call.
+        self._disk_fresh = False
         for i, (request, key) in enumerate(
             zip(requests, request_keys(requests, self._signature))
         ):
@@ -331,19 +384,29 @@ class CachedBackend(ExecutionBackend):
         run = self._memory.get(key)
         if run is not None or self.directory is None:
             return run
-        if key not in self._packs and not self._index_fresh:
+        if key not in self._packs and key not in self._legacy and not self._disk_fresh:
+            self._disk_fresh = True
             self._read_index()
+            self._list_legacy()
         pack = self._packs.get(key)
         if pack is not None:
             self._load_pack(pack)
             run = self._memory.get(key)
             if run is not None:
                 return run
-        return self._load_legacy(key)
+        return self._load_legacy(key) if key in self._legacy else None
+
+    def _list_legacy(self) -> None:
+        """Note which keys have a legacy per-key file: one directory
+        listing instead of one failed open per missing key."""
+        try:
+            names = os.listdir(self.directory)
+        except OSError:
+            return
+        self._legacy = {name[:-4] for name in names if name.endswith(".pkl")}
 
     def _read_index(self) -> None:
         """Fold index lines appended since the last read into ``_packs``."""
-        self._index_fresh = True
         try:
             with (self.directory / INDEX_NAME).open("rb") as handle:
                 if handle.seek(0, os.SEEK_END) < self._index_offset:
@@ -356,16 +419,8 @@ class CachedBackend(ExecutionBackend):
         # leave it for the next read.
         complete = tail.rfind(b"\n") + 1
         self._index_offset += complete
-        for line in tail[:complete].split(b"\n"):
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                pack, keys = entry["pack"], entry["keys"]
-            except (ValueError, TypeError, KeyError):
-                continue  # torn line
-            if isinstance(pack, str) and os.path.basename(pack) == pack:
-                self._packs.update(dict.fromkeys(map(str, keys), pack))
+        for pack, keys in _index_entries(tail[:complete]):
+            self._packs.update(dict.fromkeys(map(str, keys), pack))
 
     def _load_pack(self, name: str) -> None:
         """Decode a whole pack into memory; a bad pack's keys miss."""
@@ -380,10 +435,11 @@ class CachedBackend(ExecutionBackend):
         self._memory.update(runs)
 
     def _load_legacy(self, key: str) -> Optional[RunResult]:
+        self._legacy.discard(key)  # served from memory or evicted from here on
         path = self.directory / f"{key}.pkl"
         try:
             blob = path.read_bytes()
-        except OSError:  # absent (or unreadable): miss
+        except OSError:  # gone since the listing (or unreadable): miss
             return None
         if blob.startswith(blobfmt.MAGIC):
             try:

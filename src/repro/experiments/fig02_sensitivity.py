@@ -86,16 +86,14 @@ def run(scale: Scale) -> Fig2Result:
             for size in sizes:
                 if framework == "Spark":
                     job = workload.job(size)
-                    runs = execute_batch(
-                        [(job, spark_space.random(rng)) for _ in range(n)]
-                    )
+                    configs = spark_space.configurations(spark_space.sample(n, rng))
+                    runs = execute_batch([(job, config) for config in configs])
                     times = [r.seconds for r in runs]
                 else:
+                    configs = hadoop_space.configurations(hadoop_space.sample(n, rng))
                     times = [
-                        odc_sim.run(
-                            program, workload.bytes_for(size), hadoop_space.random(rng)
-                        ).seconds
-                        for _ in range(n)
+                        odc_sim.run(program, workload.bytes_for(size), config).seconds
+                        for config in configs
                     ]
                 per_size.append(tvar(np.array(times)))
             tvars[(framework, program)] = (per_size[0], per_size[1])

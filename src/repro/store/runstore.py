@@ -428,7 +428,8 @@ class RunStore:
         min_age_seconds: float = 3600.0,
         _now: Optional[float] = None,
     ) -> Dict[str, object]:
-        """Sweep object blobs no index entry references any more.
+        """Sweep object blobs no index entry references any more, and
+        the engine cache's unindexed packs.
 
         The index is append-only and latest-wins, so superseded
         versions of a key (re-collected training sets, per-order model
@@ -442,8 +443,13 @@ class RunStore:
         ``min_age_seconds`` are kept regardless — a concurrent writer
         puts the blob *before* the index line, and the age floor keeps
         the sweep from racing that window.  Stale ``.*.tmp`` litter
-        from crashed writers is swept by the same rule.
+        from crashed writers is swept by the same rule.  In
+        :attr:`cache_dir`, packs no ``index.jsonl`` line names and stale
+        temp files go under the same floor
+        (:func:`~repro.engine.cache.sweep_cache_dir`).
         """
+        from repro.engine.cache import sweep_cache_dir
+
         now = time.time() if _now is None else _now
         with self._lock:
             self._index = None
@@ -483,6 +489,11 @@ class RunStore:
             report["reclaimed_bytes"] += stat.st_size
             if apply:
                 path.unlink(missing_ok=True)
+        cache = sweep_cache_dir(self.cache_dir, apply, min_age_seconds, now)
+        report["cache_packs_swept"] = cache["packs_swept"]
+        report["cache_tmp_swept"] = cache["tmp_swept"]
+        report["skipped_young"] += cache["skipped_young"]
+        report["reclaimed_bytes"] += cache["bytes"]
         return report
 
 

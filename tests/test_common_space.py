@@ -33,7 +33,7 @@ class TestIntParameter:
     def test_sample_within_range(self):
         p = IntParameter("x", 2, 9, 5)
         rng = derive_rng("int-sample")
-        values = {p.sample(rng) for _ in range(200)}
+        values = set(ConfigurationSpace([p]).sample(200, rng)[:, 0].tolist())
         assert min(values) >= 2 and max(values) <= 9
         assert len(values) == 8  # all values reachable
 
@@ -66,8 +66,8 @@ class TestFloatParameter:
     def test_sample_within_range(self):
         p = FloatParameter("y", 0.5, 1.0, 0.75)
         rng = derive_rng("float-sample")
-        for _ in range(50):
-            assert 0.5 <= p.sample(rng) <= 1.0
+        for value in ConfigurationSpace([p]).sample(50, rng)[:, 0]:
+            assert 0.5 <= value <= 1.0
 
     def test_encode_is_normalized(self):
         p = FloatParameter("y", 10.0, 20.0, 15.0)
@@ -170,7 +170,7 @@ class TestConfigurationSpace:
 
     def test_encode_many(self, toy_space):
         rng = derive_rng("many")
-        configs = toy_space.sample(5, rng)
+        configs = toy_space.configurations(toy_space.sample(5, rng))
         mat = toy_space.encode_many(configs)
         assert mat.shape == (5, 4)
 

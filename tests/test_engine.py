@@ -306,6 +306,48 @@ def test_truncated_disk_entry_evicted_then_overwritten(space, tmp_path):
     assert third.submit([request])[0].cache_hit
 
 
+def test_cold_submit_opens_no_per_key_file(space, tmp_path, monkeypatch):
+    """Without legacy files a cold submit lists the directory once; it
+    does not try to open a ``{key}.pkl`` per miss."""
+    import io
+    import os
+
+    opened, listed = [], []
+    real_io_open, real_os_open, real_listdir = io.open, os.open, os.listdir
+
+    def io_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_io_open(file, *args, **kwargs)
+
+    def os_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_os_open(path, *args, **kwargs)
+
+    def listdir(path="."):
+        listed.append(str(path))
+        return real_listdir(path)
+
+    monkeypatch.setattr(io, "open", io_open)
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(os, "listdir", listdir)
+    backend = CachedBackend(InProcessBackend(), directory=tmp_path)
+    outcomes = backend.submit(_requests(space, n=6))
+    assert not any(o.cache_hit for o in outcomes)
+    assert [p for p in opened if p.endswith(".pkl")] == []
+    assert listed == [str(tmp_path)]
+
+
+def test_legacy_entry_written_after_first_lookup_still_serves(space, tmp_path):
+    early, late = _requests(space, n=2)
+    cold = CachedBackend(InProcessBackend(), directory=tmp_path)
+    assert not cold.submit([early])[0].cache_hit  # lists the directory
+    expected = InProcessBackend().run(late.job, late.config)
+    _legacy_entry(tmp_path, late, expected)
+    outcome = cold.submit([late])[0]
+    assert outcome.cache_hit and cold.inner.stats.runs == 1
+    assert outcome.run == expected
+
+
 # ----------------------------------------------------------------------
 # Packs: one checksummed container per submit, listed in index.jsonl
 # ----------------------------------------------------------------------

@@ -420,6 +420,53 @@ class TestStoreGc:
         assert not litter.exists()
         assert store.get_bytes("k") == b"v"
 
+    def test_cli_sweeps_unindexed_cache_packs(self, tmp_path, capsys):
+        """A crash between a cache pack's rename and its index append
+        leaves an orphan pack (the layout of test_engine's
+        test_pack_without_index_line_is_ignored); gc removes it and stale
+        temp files, and a dry run touches nothing."""
+        import json
+        import os
+
+        from repro.cli.main import main
+        from repro.engine import CachedBackend, ExecRequest, InProcessBackend
+        from repro.engine.cache import INDEX_NAME
+        from repro.sparksim.confspace import SPARK_CONF_SPACE
+        from repro.workloads import get_workload
+
+        store = RunStore(tmp_path / "store")
+        cache = store.cache_dir
+        request = ExecRequest(
+            job=get_workload("TS").job(10.0), config=SPARK_CONF_SPACE.default()
+        )
+        CachedBackend(InProcessBackend(), directory=cache).submit([request])
+        (cache / INDEX_NAME).unlink()
+        CachedBackend(InProcessBackend(), directory=cache).submit([request])
+        (cache / ".0123.pack.77.tmp").write_bytes(b"partial")
+        for path in cache.iterdir():
+            os.utime(path, (1.0, 1.0))
+        lines = (cache / INDEX_NAME).read_text().splitlines()
+        (indexed,) = [json.loads(line)["pack"] for line in lines if line]
+        assert len(list(cache.glob("*.pack"))) == 2
+
+        def snapshot():
+            return {
+                p.name: (p.stat().st_mtime, p.read_bytes()) for p in cache.iterdir()
+            }
+
+        before = snapshot()
+        report = store.gc()
+        assert (report["cache_packs_swept"], report["cache_tmp_swept"]) == (1, 1)
+        assert main(["store", "gc", "--store", str(store.root)]) == 0
+        out = capsys.readouterr().out
+        assert "1 unindexed cache pack(s) + 1 cache tmp file(s)" in out
+        assert snapshot() == before
+
+        assert main(["store", "gc", "--store", str(store.root), "--apply"]) == 0
+        assert sorted(p.name for p in cache.iterdir()) == sorted([INDEX_NAME, indexed])
+        again = CachedBackend(InProcessBackend(), directory=cache)
+        assert again.submit([request])[0].cache_hit
+
     def test_artifacts_of_finished_jobs_stay_live(self, tmp_path, terasort):
         """Job records reference artifacts only through index keys, so
         a full tune's artifacts all survive an aggressive sweep."""
